@@ -14,7 +14,7 @@ from .errors import (ConfigError, DataError, GraphError, NumericalError,
 from .evaluation import EvalReport, evaluate_dir, evaluate_pair, spectral_errors, ssnr
 from .losses import (Discriminator, LossWeights, discriminator_loss,
                      generator_loss, mag_consistency_loss, metric_loss,
-                     normalize_pesq, proxy_quality)
+                     proxy_quality)
 from .model import ClassicTsNet, DenseTsNet, ModelConfig, ablate, build_model
 from .params import ParamStore
 from .training import (AdamW, DatasetSpec, PairedDataset, TrainConfig,
@@ -33,7 +33,7 @@ __all__ = [
     "build_model", "compare_variants", "consistency_project",
     "discriminator_loss", "evaluate_dir", "evaluate_pair", "generator_loss",
     "grad_check", "istft", "istft_pair", "load_checkpoint", "loss_study",
-    "mag_consistency_loss", "make_batch", "metric_loss", "normalize_pesq",
+    "mag_consistency_loss", "make_batch", "metric_loss",
     "proxy_quality", "save_checkpoint", "spectral_errors", "ssnr", "stft",
     "stft_pair", "synth_dataset", "tensor", "train", "wav_read", "wav_write",
 ]

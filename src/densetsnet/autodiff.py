@@ -684,9 +684,3 @@ def grad_check(fn, tensors, step=1e-4):
             denom = max(abs(fd), abs(ad_grad[idx]), 1.0)
             worst = max(worst, abs(fd - ad_grad[idx]) / denom)
     return worst
-
-
-def assert_finite(t, context=""):
-    arr = t.data if isinstance(t, Tensor) else np.asarray(t)
-    if not np.all(np.isfinite(arr)):
-        raise NumericalError(f"non-finite values{' in ' + context if context else ''}")

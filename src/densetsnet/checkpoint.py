@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -23,6 +25,7 @@ VERSION = 1
 
 
 def save_checkpoint(path, arrays: dict, config: dict, extra: dict | None = None):
+    """Write atomically: a crash mid-write leaves any earlier file at `path` intact."""
     entries = []
     blobs = []
     for name, arr in arrays.items():
@@ -39,12 +42,21 @@ def save_checkpoint(path, arrays: dict, config: dict, extra: dict | None = None)
         "sha256": hashlib.sha256(payload).hexdigest(),
     }
     hb = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<Q", len(hb)))
-        f.write(hb)
-        f.write(payload)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<I", VERSION))
+            f.write(struct.pack("<Q", len(hb)))
+            f.write(hb)
+            f.write(payload)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path):

@@ -10,21 +10,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
-from .autodiff import Tensor
 from .checkpoint import load_checkpoint
-from .dsp import StftConfig, stft_pair
 from .errors import ConfigError, DataError, NumericalError, ShapeError
 from .evaluation import evaluate_dir
 from .losses import proxy_quality
-from .model import ModelConfig, build_model
-from .training import (DatasetSpec, PairedDataset, TrainConfig,
-                       configs_from_echo, synth_dataset, train,
-                       _estimate_waveforms)
+from .model import build_model
+from .training import (ECHOED_FIELDS, DatasetSpec, PairedDataset,
+                       configs_from_echo, enhance_waveforms, synth_dataset, train)
 from .wavio import wav_read, wav_write
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}
@@ -44,30 +38,13 @@ def _parse_drop(s: str):
     return tuple(part.strip() for part in s.split(",") if part.strip())
 
 
-# key -> (section, parser); sections: model / stft / train
-_KEYS: dict = {}
-for f in fields(ModelConfig):
-    _KEYS[f.name] = ("model", {"drop": _parse_drop, "adjust_depthwise": _parse_bool,
-                               "variant": str, "mask_beta": float}.get(f.name, int))
-for f in fields(StftConfig):
-    if f.name == "window":
-        continue
-    _KEYS[f.name] = ("stft", float if f.name == "compression" else int)
-for f in fields(TrainConfig):
-    caster = {"lr": float, "beta1": float, "beta2": float, "eps": float,
-              "weight_decay": float, "lambda1": float, "lambda2": float,
-              "valid_fraction": float, "use_consistency": _parse_bool}.get(f.name, int)
-    _KEYS[f.name] = ("train", caster)
+# key -> (config class, parser of its text form)
+_KEYS = {key: (cls, {bool: _parse_bool, tuple: _parse_drop}.get(typ, typ))
+         for cls, key, typ in ECHOED_FIELDS}
 
 
 def _defaults() -> dict:
-    vals = {}
-    for cls in (ModelConfig, StftConfig, TrainConfig):
-        for f in fields(cls):
-            if f.name == "window":
-                continue
-            vals[f.name] = getattr(cls(), f.name)
-    return vals
+    return {key: getattr(cls(), key) for key, (cls, _) in _KEYS.items()}
 
 
 def _apply(vals: dict, key: str, raw: str, origin: str):
@@ -115,12 +92,10 @@ def _build_configs(args) -> tuple:
     if getattr(args, "steps", None) is not None:
         vals["max_steps"] = args.steps
 
-    by_section = {"model": {}, "stft": {}, "train": {}}
+    by_cls = {cls: {} for cls, _ in _KEYS.values()}
     for key, val in vals.items():
-        by_section[_KEYS[key][0]][key] = val
-    return (ModelConfig(**by_section["model"]),
-            StftConfig(**by_section["stft"]),
-            TrainConfig(**by_section["train"]))
+        by_cls[_KEYS[key][0]][key] = val
+    return tuple(cls(**kw) for cls, kw in by_cls.items())
 
 
 def _config_key_help() -> str:
@@ -166,13 +141,7 @@ def _load_model(ckpt_path):
 
 
 def _enhance_one(model, stft_cfg, in_path, out_path):
-    clip = wav_read(in_path)
-    x = Tensor(clip.samples[None, :])
-    re, im = stft_pair(x, stft_cfg)
-    mag = np.hypot(re.data, im.data)
-    phase = np.arctan2(im.data, re.data)
-    _, enh = model.forward(Tensor(mag))
-    est = _estimate_waveforms(enh.data, phase, stft_cfg, len(clip))[0]
+    _, est = enhance_waveforms(model, wav_read(in_path).samples, stft_cfg)
     wav_write(out_path, est)
 
 

@@ -13,10 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, _make, complex_magnitude
+from .autodiff import Tensor, _make, complex_magnitude, mul_const
 from .errors import ConfigError, DataError, ShapeError
-
-_TWO_SECONDS = 32000  # samples at 16 kHz
 
 
 def periodic_hann(n: int) -> np.ndarray:
@@ -267,10 +265,15 @@ def stft(x, cfg: StftConfig) -> ComplexSpec:
 
 
 def istft(spec: ComplexSpec, cfg: StftConfig, out_len: int) -> Tensor:
-    from .autodiff import mul_const
-    re = mul_const(spec.mag, np.cos(spec.phase.data))
-    im = mul_const(spec.mag, np.sin(spec.phase.data))
-    return istft_pair(re, im, cfg, out_len)
+    """Synthesis from a magnitude/phase pair; differentiable w.r.t. the magnitude."""
+    return phase_synthesis(spec.phase.data, cfg, out_len)(spec.mag)
+
+
+def phase_synthesis(phase: np.ndarray, cfg: StftConfig, out_len: int):
+    """The map magnitude -> waveform that borrows `phase`.  The phase's cos
+    and sin are taken once, when the map is made."""
+    cos, sin = np.cos(phase), np.sin(phase)
+    return lambda mag: istft_pair(mul_const(mag, cos), mul_const(mag, sin), cfg, out_len)
 
 
 def consistency_project(est_mag: Tensor, noisy_phase, cfg: StftConfig, out_len: int) -> Tensor:
@@ -280,17 +283,10 @@ def consistency_project(est_mag: Tensor, noisy_phase, cfg: StftConfig, out_len: 
     actual waveform pass through unchanged, anything else gets pulled onto
     that set.  Differentiable w.r.t. est_mag only.
     """
-    from .autodiff import mul_const
-    if np.any(est_mag.data < 0):
-        raise DataError("consistency projection needs non-negative magnitudes")
-    ph = noisy_phase.data if isinstance(noisy_phase, Tensor) else np.asarray(noisy_phase)
-    if ph.shape != est_mag.shape:
-        raise ShapeError(f"phase shape {ph.shape} != magnitude shape {est_mag.shape}")
-    re = mul_const(est_mag, np.cos(ph))
-    im = mul_const(est_mag, np.sin(ph))
-    x = istft_pair(re, im, cfg, out_len)
-    re2, im2 = stft_pair(x, cfg)
-    return complex_magnitude(re2, im2)
+    if not isinstance(noisy_phase, Tensor):
+        noisy_phase = Tensor(noisy_phase)
+    x = istft(ComplexSpec(est_mag, noisy_phase), cfg, out_len)
+    return complex_magnitude(*stft_pair(x, cfg))
 
 
 def power_compress(mag: Tensor, exponent: float) -> Tensor:
@@ -305,19 +301,3 @@ def power_compress(mag: Tensor, exponent: float) -> Tensor:
         slope = np.where(d > 1e-12, exponent * safe ** (exponent - 1.0), 0.0)
         return (g * slope,)
     return _make(out, (mag,), bwd)
-
-
-def segment_clip(clip: AudioClip, rng, target: int = _TWO_SECONDS) -> AudioClip:
-    """Crop (uniform random offset) or right-pad a clip to exactly `target`."""
-    s = clip.samples
-    n = s.shape[0]
-    if n == target:
-        return clip
-    if n > target:
-        off = int(rng.integers(0, n - target + 1))
-        return AudioClip(s[off:off + target], clip.sample_rate)
-    return AudioClip(np.pad(s, (0, target - n)), clip.sample_rate)
-
-
-def segment_two_seconds(clip: AudioClip, rng) -> AudioClip:
-    return segment_clip(clip, rng, _TWO_SECONDS)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .dsp import AudioClip, StftConfig, consistency_project
+from .dsp import StftConfig, consistency_project
 from .errors import ConfigError, ShapeError
 from .evaluation import SSNR_CEIL_DB, SSNR_FLOOR_DB, ssnr
 from .model import instance_norm_2d
@@ -143,28 +143,3 @@ def proxy_quality(clean, est) -> float:
     hi = _logistic((SSNR_CEIL_DB - _Q_MID) / _Q_TAU)
     q = (_logistic((s - _Q_MID) / _Q_TAU) - lo) / (hi - lo)
     return float(np.clip(q, 0.0, 1.0))
-
-
-def normalize_pesq(pesq_score: float) -> float:
-    """Map raw PESQ in [-0.5, 4.5] onto [0, 1] for discriminator labels."""
-    return float(np.clip((pesq_score + 0.5) / 5.0, 0.0, 1.0))
-
-
-def scores_file_oracle(path):
-    """Offline labels: CSV of (utterance-id, Q); returns an oracle keyed on
-    AudioClip identity set by the caller via `clip.name` attributes."""
-    table = {}
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, val = line.rsplit(",", 1)
-            table[key.strip()] = float(np.clip(float(val), 0.0, 1.0))
-
-    def oracle(clean, est, _table=table):
-        key = getattr(est, "name", None) or getattr(clean, "name", None)
-        if key is None or key not in _table:
-            raise ConfigError(f"no offline quality score for utterance {key!r}")
-        return _table[key]
-    return oracle

@@ -32,12 +32,6 @@ class ParamStore:
     def ones(self, name: str, shape) -> Tensor:
         return self.add(name, np.ones(shape))
 
-    def full(self, name: str, shape, value) -> Tensor:
-        return self.add(name, np.full(shape, float(value)))
-
-    def normal(self, name: str, shape, std) -> Tensor:
-        return self.add(name, self.rng.normal(0.0, std, size=shape))
-
     def uniform_fan_in(self, name: str, shape, fan_in) -> Tensor:
         """Centered uniform with bound 1/sqrt(fan_in), the conv weight default."""
         bound = 1.0 / np.sqrt(max(1, fan_in))
@@ -67,9 +61,6 @@ class ParamStore:
     def zero_grad(self):
         for t in self._params.values():
             t.grad = None
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {k: t.data for k, t in self._params.items()}
 
     def load_state(self, arrays: dict[str, np.ndarray]):
         """Overwrite parameter values in place; names and shapes must match."""

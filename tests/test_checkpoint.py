@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from densetsnet import checkpoint
 from densetsnet.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from densetsnet.errors import DataError
 
@@ -84,3 +85,22 @@ def test_scalar_and_empty_shapes(tmp_path):
     back, _, _ = load_checkpoint(p)
     assert back["x"].shape == () and float(back["x"]) == 1.5
     assert back["y"].shape == (0, 3)
+
+
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
+    rng = np.random.default_rng(2)
+    good = _sample_arrays(rng)
+    p = tmp_path / "c.dtsn"
+    save_checkpoint(p, good, {"k": 1}, {"step": 1})
+    before = p.read_bytes()
+
+    def crash(fd):
+        raise OSError("disk went away")
+    monkeypatch.setattr(checkpoint.os, "fsync", crash)
+    with pytest.raises(OSError, match="disk went away"):
+        save_checkpoint(p, _sample_arrays(rng), {"k": 2}, {"step": 2})
+
+    assert p.read_bytes() == before
+    back, cfg, extra = load_checkpoint(p)
+    assert cfg == {"k": 1} and extra["step"] == 1
+    assert [q.name for q in tmp_path.iterdir()] == ["c.dtsn"]

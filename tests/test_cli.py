@@ -5,13 +5,16 @@ enhance/eval/inspect tests all reuse it.  Exit-code contract: 0 ok, 2 config,
 3 data, 4 numerical.
 """
 
+import argparse
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from densetsnet import wav_read, wav_write
-from densetsnet.cli import main
+from densetsnet import ModelConfig, StftConfig, TrainConfig, wav_read, wav_write
+from densetsnet.cli import _build_configs, main
+from densetsnet.training import ECHOED_FIELDS, config_echo, configs_from_echo
 
 from helpers import read_report_csv
 
@@ -94,8 +97,39 @@ def test_help_lists_config_keys(capsys):
         main(["--help"])
     assert ei.value.code == 0
     out = capsys.readouterr().out
-    for key in ("dense_channel", "segment_samples", "lambda2", "compression"):
-        assert key in out
+    for _, key, _ in ECHOED_FIELDS:
+        assert f"  {key} (default " in out
+
+
+def _text(v):
+    if isinstance(v, list):
+        return ",".join(v)
+    return str(v).lower() if isinstance(v, bool) else str(v)
+
+
+def test_every_echoed_field_is_a_cli_key():
+    # one non-default value per field of the three configs
+    mc = ModelConfig(dense_channel=6, depth=3, lke_kernel=15, lsg_kernel=5, mask_beta=1.5,
+                     variant="classic_ts", classic_channel=8, adjust_depthwise=True,
+                     drop=("ca", "lke"))
+    sc = StftConfig(n_fft=512, win_length=512, hop=128, sample_rate=8000, compression=0.5)
+    tc = TrainConfig(batch_size=3, max_steps=7, lr=2e-4, beta1=0.85, beta2=0.95, eps=1e-7,
+                     weight_decay=0.02, eval_every=3, checkpoint_every=5, seed=9,
+                     lambda1=0.5, lambda2=0.05, segment_samples=4000,
+                     use_consistency=False, valid_fraction=0.2)
+    echo = config_echo(mc, sc, tc)
+    default_echo = config_echo(ModelConfig(), StftConfig(), TrainConfig())
+    keys = [key for _, key, _ in ECHOED_FIELDS]
+    assert len(keys) == 29 and sorted(echo) == sorted(keys) == sorted(default_echo)
+    assert "window" not in echo
+    assert all(echo[k] != default_echo[k] for k in keys)
+
+    # the echo round-trips through a checkpoint header
+    assert config_echo(*configs_from_echo(json.loads(json.dumps(echo))), tc) == echo
+
+    # every key is settable by name and lands in the right config
+    args = argparse.Namespace(config=None, set=[f"{k}={_text(echo[k])}" for k in keys])
+    assert config_echo(*_build_configs(args)) == echo
 
 
 # ---------------------------------------------------------------------------

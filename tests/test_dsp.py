@@ -8,7 +8,7 @@ import densetsnet.autodiff as ad
 from densetsnet.autodiff import Tensor, backward, grad_check
 from densetsnet.dsp import (AudioClip, ComplexSpec, StftConfig, cola_deviation,
                             consistency_project, istft, istft_pair,
-                            periodic_hann, power_compress, segment_clip,
+                            periodic_hann, power_compress,
                             stft, stft_pair, wrap_phase)
 from densetsnet.errors import ConfigError, DataError, ShapeError
 
@@ -240,19 +240,6 @@ def test_compression_exponent_grad_check():
     rng = np.random.default_rng(11)
     mag = Tensor(np.abs(rng.standard_normal((1, 4, 6))) + 0.2, requires_grad=True)
     assert grad_check(lambda: ad.mean_all(power_compress(mag, 0.3)), [mag]) < 1e-6
-
-
-def test_segment_clip_crop_and_pad():
-    rng = np.random.default_rng(12)
-    long_clip = AudioClip(rng.standard_normal(50000))
-    seg = segment_clip(long_clip, rng, 32000)
-    assert len(seg) == 32000
-    # cropped content must come from the source
-    short_clip = AudioClip(rng.standard_normal(1000))
-    seg2 = segment_clip(short_clip, rng, 4000)
-    assert len(seg2) == 4000
-    assert np.array_equal(seg2.samples[:1000], short_clip.samples)
-    assert np.all(seg2.samples[1000:] == 0)
 
 
 def test_audio_clip_validation():

@@ -12,8 +12,7 @@ from densetsnet.dsp import AudioClip, StftConfig, stft
 from densetsnet.errors import ConfigError, ShapeError
 from densetsnet.losses import (Discriminator, LossWeights, discriminator_loss,
                                generator_loss, mag_consistency_loss, mag_mse,
-                               metric_loss, normalize_pesq, proxy_quality,
-                               scores_file_oracle)
+                               metric_loss, proxy_quality)
 
 CFG = StftConfig()
 
@@ -191,28 +190,6 @@ def test_proxy_quality_tracks_ssnr_formula():
     est = AudioClip(clean.samples + 0.05 * rng.standard_normal(6000))
     s = ssnr(clean, est)
     assert abs(proxy_quality(clean, est) - _q_oracle(s)) < 1e-12
-
-
-def test_normalize_pesq_endpoints():
-    assert normalize_pesq(4.5) == 1.0
-    assert normalize_pesq(-0.5) == 0.0
-    assert abs(normalize_pesq(2.0) - 0.5) < 1e-15
-    assert normalize_pesq(99.0) == 1.0  # clipped
-
-
-def test_scores_file_oracle(tmp_path):
-    p = tmp_path / "scores.csv"
-    p.write_text("# id,q\nutt1.wav,0.75\nutt2.wav,1.5\n")
-    oracle = scores_file_oracle(p)
-    clean = AudioClip(np.zeros(100))
-    est = AudioClip(np.zeros(100))
-    est.name = "utt1.wav"
-    assert oracle(clean, est) == 0.75
-    est.name = "utt2.wav"
-    assert oracle(clean, est) == 1.0  # clipped into [0, 1]
-    est.name = "unknown.wav"
-    with pytest.raises(ConfigError):
-        oracle(clean, est)
 
 
 def test_lambda2_zero_keeps_graph_clear_of_discriminator():

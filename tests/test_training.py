@@ -24,6 +24,7 @@ from densetsnet import (
     TrainConfig,
     load_checkpoint,
     make_batch,
+    save_checkpoint,
     synth_dataset,
     train,
     wav_read,
@@ -31,7 +32,7 @@ from densetsnet import (
 )
 from densetsnet import training
 from densetsnet.params import ParamStore
-from densetsnet.training import (CURVE_COLUMNS, _paired_segment, adamw_step,
+from densetsnet.training import (CURVE_COLUMNS, _paired_segment,
                                  config_echo, configs_from_echo)
 
 from helpers import adamw_ref, read_curves_csv, stft_ref
@@ -126,7 +127,7 @@ def test_adamw_missing_grad_still_decays():
     store["w"].grad = None
     lr, wd = 1e-2, 0.1
     opt = AdamW(store, lr=lr, weight_decay=wd)
-    adamw_step(opt)
+    opt.step()
     np.testing.assert_allclose(store["w"].data, p0 - lr * wd * p0, rtol=1e-15)
     assert np.all(opt.m["w"] == 0.0) and np.all(opt.v["w"] == 0.0)
 
@@ -359,6 +360,42 @@ def test_config_echo_round_trip():
     assert echo["drop"] == ["ca", "lke"]
 
 
+def test_config_echo_old_checkpoint_keys_take_defaults(dataset, tmp_path):
+    # echoes written before compression and drop existed still load and resume
+    cfg = _tiny_train_cfg(max_steps=2, checkpoint_every=2)
+    res = train(TINY_MODEL, StftConfig(), cfg, dataset, tmp_path)
+    arrays, echo, extra = load_checkpoint(res.checkpoints[0])
+    del echo["compression"], echo["drop"]
+    old = tmp_path / "old.dtsn"
+    save_checkpoint(old, arrays, echo, extra)
+    mc, sc = configs_from_echo(echo)
+    assert sc.compression == 1.0 and mc.drop == ()
+    assert mc == TINY_MODEL
+    rr = train(TINY_MODEL, StftConfig(), _tiny_train_cfg(max_steps=3, checkpoint_every=3),
+               dataset, tmp_path, resume=old)
+    assert len(rr.losses) == 1
+
+
+def test_enhance_waveforms_matches_explicit_chain():
+    from densetsnet.dsp import stft_pair
+    from densetsnet.model import build_model
+    from densetsnet.training import _estimate_waveforms, enhance_waveforms
+
+    cfg = StftConfig()
+    model = build_model(TINY_MODEL, cfg, seed=1)
+    noisy = np.random.default_rng(5).standard_normal(3000) * 0.2
+    re, im = stft_pair(Tensor(noisy[None, :]), cfg)
+    _, enh = model.forward(Tensor(np.hypot(re.data, im.data)))
+    phase = np.arctan2(im.data, re.data)
+    ref = _estimate_waveforms(enh.data, phase, cfg, len(noisy))[0]
+
+    enh_mag, est = enhance_waveforms(model, noisy, cfg)
+    assert isinstance(enh_mag, np.ndarray) and isinstance(est, np.ndarray)
+    np.testing.assert_array_equal(enh_mag, enh.data)
+    assert est.shape == noisy.shape
+    np.testing.assert_allclose(est, ref, rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
@@ -450,6 +487,45 @@ def test_train_resume_rejects_config_mismatch(dataset, tmp_path):
     with pytest.raises(ConfigError, match="dense_channel"):
         train(ModelConfig(dense_channel=4, depth=1), StftConfig(), cfg, dataset,
               tmp_path, resume=res.checkpoints[0])
+
+
+def test_train_resume_rejects_every_changed_key(dataset, tmp_path):
+    cfg = _tiny_train_cfg(max_steps=2, checkpoint_every=2)
+    res = train(TINY_MODEL, StftConfig(), cfg, dataset, tmp_path)
+    changed_model = ModelConfig(dense_channel=2, depth=1, mask_beta=1.0)
+    with pytest.raises(ConfigError) as ei:
+        train(changed_model, StftConfig(compression=0.3), cfg, dataset, tmp_path,
+              resume=res.checkpoints[0])
+    msg = str(ei.value)
+    assert "compression" in msg and "mask_beta" in msg
+    assert "dense_channel" not in msg
+
+
+def test_train_resume_allows_schedule_keys(dataset, tmp_path):
+    cfg = _tiny_train_cfg(max_steps=2, checkpoint_every=2)
+    res = train(TINY_MODEL, StftConfig(), cfg, dataset, tmp_path)
+    longer = _tiny_train_cfg(max_steps=3, eval_every=3, checkpoint_every=3)
+    rr = train(TINY_MODEL, StftConfig(), longer, dataset, tmp_path, resume=res.checkpoints[0])
+    assert len(rr.losses) == 1
+
+
+def test_train_resume_does_not_duplicate_curve_rows(dataset, tmp_path):
+    cfg = _tiny_train_cfg(max_steps=4, eval_every=2, checkpoint_every=2)
+    train(TINY_MODEL, StftConfig(), cfg, dataset, tmp_path)
+    train(TINY_MODEL, StftConfig(), cfg, dataset, tmp_path,
+          resume=tmp_path / "ckpt_step2.dtsn")
+    text = (tmp_path / "curves.csv").read_text().splitlines()
+    assert text[0].startswith("#") and text[1] == ",".join(CURVE_COLUMNS)
+    rows = read_curves_csv(tmp_path / "curves.csv")
+    assert [r["step"] for r in rows] == ["1", "2", "3", "4"]
+
+
+def test_train_logs_validation_clip_count(dataset, tmp_path):
+    lines = []
+    train(TINY_MODEL, StftConfig(), _tiny_train_cfg(max_steps=1), dataset, tmp_path,
+          log=lines.append)
+    n = min(training.VALID_CLIPS, len(dataset.valid_names))
+    assert f"validating on {n} of {len(dataset.valid_names)} clips" in lines
 
 
 def test_train_aborts_on_nonfinite_loss(dataset, tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ front-end, a dense two-stage masking network built from multi-view gaze
 blocks, consistency and metric losses, an AdamW trainer, and an evaluator.
 """
 
-from .autodiff import Tensor, backward, grad_check, tensor
+from .autodiff import Tensor, backward, grad_check, no_grad, tensor
 from .checkpoint import load_checkpoint, save_checkpoint
 from .dsp import (AudioClip, ComplexSpec, StftConfig, consistency_project,
                   istft, istft_pair, stft, stft_pair)
@@ -33,7 +33,7 @@ __all__ = [
     "build_model", "compare_variants", "consistency_project",
     "discriminator_loss", "evaluate_dir", "evaluate_pair", "generator_loss",
     "grad_check", "istft", "istft_pair", "load_checkpoint", "loss_study",
-    "mag_consistency_loss", "make_batch", "metric_loss",
+    "mag_consistency_loss", "make_batch", "metric_loss", "no_grad",
     "proxy_quality", "save_checkpoint", "spectral_errors", "ssnr", "stft",
     "stft_pair", "synth_dataset", "tensor", "train", "wav_read", "wav_write",
 ]

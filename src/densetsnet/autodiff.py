@@ -5,10 +5,16 @@ tensors and a closure mapping the output cotangent to parent cotangents.
 ``backward`` replays the recorded graph exactly once in reverse topological
 order, so the graph is rebuilt per forward pass and never cached.
 
-Arrays are numpy ndarrays.  float64 is the working precision for training and
-tests; ops preserve the input dtype, so a float32 forward pass works for
-inference-only builds.  Broadcasting is deliberately narrow: bias adds and
-per-channel/per-instance scale factors only.
+Inside ``with no_grad():`` ops record nothing: each result is a bare leaf
+with no parents and no closure, so an intermediate is freed as soon as its
+last reader is done and inference memory stays a few feature maps wide.  The
+arithmetic is the same, so values match a recorded forward bit for bit.
+
+Arrays are numpy ndarrays, and float64 is the working precision.  Ops keep
+the dtype numpy's promotion gives them, so float64 parameters turn a float32
+input into a float64 forward; there is no float32 path.  Broadcasting is
+deliberately narrow: bias adds and per-channel/per-instance scale factors
+only.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import numpy as np
 from .errors import GraphError, NumericalError, ShapeError
 
 __all__ = [
-    "Tensor", "tensor", "constant", "backward", "grad_check",
+    "Tensor", "tensor", "constant", "backward", "grad_check", "no_grad",
     "add", "sub", "mul", "scale", "mul_const", "square", "sigmoid",
     "hardswish", "simple_gate", "learnable_sigmoid", "channel_scale",
     "reshape", "transpose", "concat_last", "split_last", "slice_last",
@@ -99,9 +105,30 @@ def constant(data, dtype=np.float64):
     return tensor(data, requires_grad=False, dtype=dtype)
 
 
+class no_grad:
+    """Context in which ops record no tape (see the module docstring).
+
+    Blocks nest; leaving one, also by an exception, restores the state it
+    found on entry.
+    """
+
+    def __enter__(self):
+        global _recording
+        self._outer = _recording
+        _recording = False
+
+    def __exit__(self, *exc):
+        global _recording
+        _recording = self._outer
+
+
+_recording = True  # False inside no_grad
+
+
 def _make(data, parents, backward_fn):
-    """Internal node constructor; prunes the graph below non-grad inputs."""
-    if any(p.requires_grad for p in parents):
+    """Internal node constructor; prunes the graph below non-grad inputs and
+    records nothing under ``no_grad``."""
+    if _recording and any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, parents=parents, backward_fn=backward_fn)
     return Tensor(data)
 
@@ -122,12 +149,16 @@ def backward(loss):
 
     Visits each recorded node exactly once in reverse topological order.
     Gradients add into ``.grad`` of every ``requires_grad`` tensor reached,
-    so repeated calls without zeroing accumulate additively.
+    so repeated calls without zeroing accumulate additively.  A loss that is
+    not on the tape raises GraphError rather than leaving every grad unset.
     """
     if not isinstance(loss, Tensor):
         raise GraphError("backward expects a Tensor")
     if loss.size != 1:
         raise GraphError(f"backward needs a scalar loss, got shape {loss.shape}")
+    if not loss.requires_grad:
+        raise GraphError("backward needs a loss on the tape: it depends on no tensor "
+                         "that requires grad, or was computed under no_grad")
 
     # Iterative DFS topological sort over the parent links.
     topo = []

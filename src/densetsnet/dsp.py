@@ -266,14 +266,9 @@ def stft(x, cfg: StftConfig) -> ComplexSpec:
 
 def istft(spec: ComplexSpec, cfg: StftConfig, out_len: int) -> Tensor:
     """Synthesis from a magnitude/phase pair; differentiable w.r.t. the magnitude."""
-    return phase_synthesis(spec.phase.data, cfg, out_len)(spec.mag)
-
-
-def phase_synthesis(phase: np.ndarray, cfg: StftConfig, out_len: int):
-    """The map magnitude -> waveform that borrows `phase`.  The phase's cos
-    and sin are taken once, when the map is made."""
-    cos, sin = np.cos(phase), np.sin(phase)
-    return lambda mag: istft_pair(mul_const(mag, cos), mul_const(mag, sin), cfg, out_len)
+    phase = spec.phase.data
+    return istft_pair(mul_const(spec.mag, np.cos(phase)), mul_const(spec.mag, np.sin(phase)),
+                      cfg, out_len)
 
 
 def consistency_project(est_mag: Tensor, noisy_phase, cfg: StftConfig, out_len: int) -> Tensor:

@@ -144,16 +144,16 @@ def mvgb_forward(x: Tensor, p: MvgbParams) -> Tensor:
     channel view and a spatial view, residual around the lot."""
     if x.ndim != 3 or x.shape[-1] != p.c:
         raise ShapeError(f"mvgb expects (N, L, {p.c}), got {x.shape}")
-    z = ad.instance_norm(x, p.norm_g, p.norm_b)
+    # One name through each chain: under no_grad a map that nothing reads
+    # again is freed at once, instead of living to the end of the function.
+    g = ad.instance_norm(x, p.norm_g, p.norm_b)
     if p.lke:
-        h = ad.conv1d(z, p.lke["pw_in_w"], p.lke["pw_in_b"])
-        h = ad.simple_gate(h)
-        h = ad.conv1d(h, p.lke["dw_w"], p.lke["dw_b"], groups=p.c)
-        h = ad.instance_norm(h, p.lke["norm_g"], p.lke["norm_b"])
-        h = ad.hardswish(h)
-        g = ad.conv1d(h, p.lke["pw_out_w"], p.lke["pw_out_b"])
-    else:
-        g = z
+        g = ad.conv1d(g, p.lke["pw_in_w"], p.lke["pw_in_b"])
+        g = ad.simple_gate(g)
+        g = ad.conv1d(g, p.lke["dw_w"], p.lke["dw_b"], groups=p.c)
+        g = ad.instance_norm(g, p.lke["norm_g"], p.lke["norm_b"])
+        g = ad.hardswish(g)
+        g = ad.conv1d(g, p.lke["pw_out_w"], p.lke["pw_out_b"])
     y = g
     if p.ca:
         pooled = ad.mean(g, axis=1, keepdims=True)
@@ -168,16 +168,16 @@ def mvgb_forward(x: Tensor, p: MvgbParams) -> Tensor:
 
 
 def ts_mvgb_forward(d: Tensor, p_time: MvgbParams, p_freq: MvgbParams) -> Tensor:
-    """Sequence modelling along time, then along frequency, shape-preserving."""
+    """Sequence modelling along time, then along frequency, shape-preserving.
+    One name is rebound through the chain, as in mvgb_forward."""
     if d.ndim != 4:
         raise ShapeError(f"ts block expects (B, T, F, C), got rank {d.ndim}")
     b, t, f, c = d.shape
-    xt = ad.reshape(ad.transpose(d, (0, 2, 1, 3)), (b * f, t, c))
-    yt = mvgb_forward(xt, p_time)
-    back = ad.transpose(ad.reshape(yt, (b, f, t, c)), (0, 2, 1, 3))
-    xf = ad.reshape(back, (b * t, f, c))
-    yf = mvgb_forward(xf, p_freq)
-    return ad.reshape(yf, (b, t, f, c))
+    h = ad.reshape(ad.transpose(d, (0, 2, 1, 3)), (b * f, t, c))
+    h = mvgb_forward(h, p_time)
+    h = ad.transpose(ad.reshape(h, (b, f, t, c)), (0, 2, 1, 3))
+    h = mvgb_forward(ad.reshape(h, (b * t, f, c)), p_freq)
+    return ad.reshape(h, (b, t, f, c))
 
 
 def instance_norm_2d(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:

@@ -396,6 +396,53 @@ def test_backward_leaves_unrelated_grads_untouched():
     assert y.grad is None
 
 
+def test_backward_rejects_loss_off_the_tape():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    loss = ad.sum_all(ad.square(x.detach()))
+    with pytest.raises(GraphError):
+        backward(loss)
+    assert x.grad is None
+
+
+def test_no_grad_records_no_tape():
+    rng = np.random.default_rng(0)
+    x, w, b = leaf(rng, 2, 5, 3), leaf(rng, 1, 3, 3), leaf(rng, 3)
+    taped = ad.mul(ad.conv1d(x, w, b), x)
+    with ad.no_grad():
+        y = ad.mul(ad.conv1d(x, w, b), x)
+        z = ad.sum_all(y)
+    for t in (y, z):
+        assert t._parents == () and t._backward is None and not t.requires_grad
+    np.testing.assert_array_equal(y.data, taped.data)
+    with pytest.raises(GraphError):
+        backward(z)
+
+
+def test_no_grad_nests_and_restores_recording():
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    with ad.no_grad():
+        with ad.no_grad():
+            assert ad.square(x)._backward is None
+        assert ad.square(x)._backward is None  # still inside the outer block
+    after = ad.square(x)
+    assert after.requires_grad and after._parents == (x,)
+    backward(ad.sum_all(after))
+    np.testing.assert_array_equal(x.grad, 2 * x.data)
+
+
+def test_no_grad_restores_recording_after_exception():
+    x = Tensor(np.array([3.0]), requires_grad=True)
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            raise RuntimeError("outer")
+    assert ad.square(x).requires_grad
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            with ad.no_grad():
+                raise RuntimeError("inner")
+    assert ad.square(x).requires_grad
+
+
 def test_grad_check_rejects_non_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(GraphError):

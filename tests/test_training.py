@@ -396,6 +396,29 @@ def test_enhance_waveforms_matches_explicit_chain():
     np.testing.assert_allclose(est, ref, rtol=0, atol=1e-12)
 
 
+def test_enhance_memory_is_a_few_feature_maps():
+    """Inference records no tape, so its traced peak is a small multiple of
+    the widest feature map (B*T*F*depth*dense_channel float64s); recording
+    the tape took about 117 of them."""
+    import tracemalloc
+    from densetsnet.model import build_model
+    from densetsnet.training import enhance_waveforms
+
+    cfg, mcfg = StftConfig(), ModelConfig()
+    model = build_model(mcfg, cfg, seed=0)
+    enhance_waveforms(model, np.zeros(4000), cfg)  # fill the STFT basis cache
+    noisy = np.random.default_rng(2).standard_normal(16000) * 0.1
+    widest = cfg.frame_count(len(noisy)) * cfg.n_bins * mcfg.depth * mcfg.dense_channel * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        enhance_waveforms(model, noisy, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * widest, f"peak {peak / widest:.1f} x the widest map"
+
+
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------

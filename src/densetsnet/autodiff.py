@@ -2,8 +2,14 @@
 
 Define-by-run: each operation produces a new Tensor that records its parent
 tensors and a closure mapping the output cotangent to parent cotangents.
-``backward`` replays the recorded graph exactly once in reverse topological
-order, so the graph is rebuilt per forward pass and never cached.
+``backward`` walks the recorded graph once in reverse topological order and
+consumes it as it goes: each node drops its parents and its closure as soon
+as the closure has run, so the tape is freed while the gradients flow and a
+step never holds more than one tape.  Only leaves get a ``.grad``.  A second
+``backward`` over a consumed graph raises GraphError; a graph rebuilt by a
+new forward pass accumulates into the leaves as usual.  Closures keep only
+what their backward reads, recomputing cheap intermediates (a padded copy,
+a normalized input) rather than holding them for the life of the tape.
 
 Inside ``with no_grad():`` ops record nothing: each result is a bare leaf
 with no parents and no closure, so an intermediate is freed as soon as its
@@ -37,8 +43,10 @@ class Tensor:
     """A dense real array plus an optional gradient slot and graph record.
 
     ``data`` is immutable by convention after creation; only ``grad`` mutates.
-    Leaf tensors (no parents) with ``requires_grad`` accumulate gradients
-    additively across backward calls until ``zero_grad``.
+    Leaf tensors (no closure) with ``requires_grad`` accumulate gradients
+    additively across backward calls until ``zero_grad``.  Recorded
+    (interior) tensors never get a ``.grad``, and ``backward`` consumes
+    their graph record.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -144,13 +152,22 @@ def _unbroadcast(grad, shape):
     return grad
 
 
-def backward(loss):
-    """Accumulate reverse-mode gradients of a scalar ``loss``.
+def _FREED(g):
+    """Closure left on a node whose backward has already run."""
+    raise GraphError("this graph was consumed by an earlier backward")
 
-    Visits each recorded node exactly once in reverse topological order.
-    Gradients add into ``.grad`` of every ``requires_grad`` tensor reached,
-    so repeated calls without zeroing accumulate additively.  A loss that is
-    not on the tape raises GraphError rather than leaving every grad unset.
+
+def backward(loss):
+    """Accumulate reverse-mode gradients of a scalar ``loss`` into the leaves.
+
+    Visits each recorded node exactly once in reverse topological order and
+    frees the graph as it goes: a node's parents and closure are taken off
+    it just before the closure runs, and ``_FREED`` is left in their place.
+    Gradients add into ``.grad`` of every leaf reached, so repeated calls on
+    rebuilt graphs accumulate additively until ``zero_grad``; recorded nodes
+    get no ``.grad``.  A second call on the same graph, or on a graph that
+    reaches a consumed node, raises GraphError before any grad changes, and
+    so does a loss that is not on the tape.
     """
     if not isinstance(loss, Tensor):
         raise GraphError("backward expects a Tensor")
@@ -171,6 +188,9 @@ def backward(loss):
             continue
         if id(node) in visited:
             continue
+        if node._backward is _FREED:
+            raise GraphError("backward over a consumed graph: the tape is freed as "
+                             "backward runs, so run the forward pass again")
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
@@ -178,22 +198,27 @@ def backward(loss):
                 stack.append((p, False))
 
     # Closures may hand back views or shared arrays, so an entry is only
-    # updated in place once this pass owns a fresh buffer for it.
+    # updated in place once this pass owns a fresh buffer for it.  ``topo``
+    # holds every node until its turn, so the ids keyed here stay unique.
     cotangent = {id(loss): np.ones_like(loss.data)}
     owned = {id(loss)}
-    for node in reversed(topo):
+    for i in range(len(topo) - 1, -1, -1):
+        node = topo[i]
+        topo[i] = None
+        fn, parents = node._backward, node._parents
+        if fn is not None:
+            node._backward, node._parents = _FREED, ()
         g = cotangent.pop(id(node), None)
         if g is None:
             continue
         owned.discard(id(node))
-        if node.requires_grad:
+        if fn is None:
             if node.grad is None:
                 node.grad = g.copy()
             else:
                 node.grad += g
-        if node._backward is None:
             continue
-        for parent, pg in zip(node._parents, node._backward(g)):
+        for parent, pg in zip(parents, fn(g)):
             if pg is None or not parent.requires_grad:
                 continue
             key = id(parent)
@@ -303,8 +328,23 @@ def channel_scale(x, alpha):
 
 
 def learnable_sigmoid(x, alpha, beta=2.0):
-    """beta * sigmoid(alpha_c * x) with a learnable per-channel alpha."""
-    return scale(sigmoid(channel_scale(x, alpha)), beta)
+    """beta * sigmoid(alpha_c * x) with a learnable per-channel alpha.
+
+    One node with the arithmetic of ``scale(sigmoid(channel_scale(x, alpha)),
+    beta)``, in the same order, so values and grads match it bit for bit;
+    the closure keeps only the sigmoid.
+    """
+    if alpha.ndim != 1 or alpha.shape[0] != x.shape[-1]:
+        raise ShapeError(
+            f"learnable_sigmoid alpha has shape {alpha.shape}, expected ({x.shape[-1]},)")
+    c = float(beta)
+    s = 0.5 * (1.0 + np.tanh(0.5 * (x.data * alpha.data)))
+
+    def bwd(g):
+        gs = g * c * s * (1.0 - s)
+        ga = (gs * x.data).reshape(-1, x.shape[-1]).sum(axis=0)
+        return gs * alpha.data, ga
+    return _make(s * c, (x, alpha), bwd)
 
 
 def reshape(x, shape):
@@ -479,8 +519,11 @@ def _conv1d_dw_taps(x, w, b, xp, length, pl, dilation):
         off = t * dilation
         out += xp[:, off:off + length, :] * wk[t]
     out += b.data
+    pr = xp.shape[1] - length - pl
 
     def bwd(g):
+        # pad again rather than keep the padded copy alive on the tape
+        xp = np.pad(x.data, ((0, 0), (pl, pr), (0, 0))) if pl or pr else x.data
         gxp = np.zeros_like(xp)
         gw = np.empty_like(w.data)
         for t in range(k):
@@ -669,8 +712,11 @@ def instance_norm(x, gamma, beta, eps=1e-5):
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
     out = xhat * gamma.data + beta.data
+    del xhat
 
     def bwd(g):
+        # recomputed, not kept: the tape holds x anyway
+        xhat = (x.data - mu) * inv
         gg = g * gamma.data
         m1 = gg.mean(axis=1, keepdims=True)
         m2 = (gg * xhat).mean(axis=1, keepdims=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -22,6 +23,7 @@ from .errors import DataError
 
 MAGIC = b"DTSN"
 VERSION = 1
+_HEADER_KEYS = {"config": dict, "entries": list, "extra": dict, "sha256": str}
 
 
 def save_checkpoint(path, arrays: dict, config: dict, extra: dict | None = None):
@@ -60,11 +62,17 @@ def save_checkpoint(path, arrays: dict, config: dict, extra: dict | None = None)
 
 
 def load_checkpoint(path):
-    """Returns (arrays, config, extra); verifies magic, version, checksum."""
+    """Returns (arrays, config, extra); verifies magic, version, checksum.
+
+    Any malformed file raises DataError: the header is checked for its keys
+    and types and every entry for a sane shape before the payload is read.
+    """
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:4] != MAGIC:
         raise DataError(f"{path}: not a checkpoint file (bad magic)")
+    if len(raw) < 16:
+        raise DataError(f"{path}: truncated checkpoint ({len(raw)} bytes, header needs 16)")
     (version,) = struct.unpack_from("<I", raw, 4)
     if version != VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
@@ -73,17 +81,38 @@ def load_checkpoint(path):
         header = json.loads(raw[16:16 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataError(f"{path}: corrupt checkpoint header: {e}") from None
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: corrupt checkpoint header: not a JSON object")
+    for key, kind in _HEADER_KEYS.items():
+        if not isinstance(header.get(key), kind):
+            raise DataError(f"{path}: corrupt checkpoint header: missing or malformed {key!r}")
     payload = raw[16 + hlen:]
     if hashlib.sha256(payload).hexdigest() != header["sha256"]:
         raise DataError(f"{path}: checkpoint payload fails its checksum")
     arrays = {}
     off = 0
     for ent in header["entries"]:
-        shape = tuple(ent["shape"])
-        n = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(payload, dtype="<f8", count=n, offset=off).reshape(shape)
-        arrays[ent["name"]] = arr.astype(np.float64)
+        name, shape = _entry(path, ent)
+        n = math.prod(shape)
+        if off + 8 * n > len(payload):
+            raise DataError(f"{path}: payload size mismatch (entry {name!r} runs past "
+                            f"the {len(payload)}-byte payload)")
+        try:  # a zero-size shape can still have dims numpy cannot hold
+            arr = np.frombuffer(payload, dtype="<f8", count=n, offset=off).reshape(shape)
+        except ValueError as e:
+            raise DataError(f"{path}: entry {name!r} has an impossible shape ({e})") from None
+        arrays[name] = arr.astype(np.float64)
         off += 8 * n
     if off != len(payload):
         raise DataError(f"{path}: payload size mismatch ({len(payload)} vs {off} expected)")
     return arrays, header["config"], header["extra"]
+
+
+def _entry(path, ent):
+    """(name, shape) of one header entry, or DataError."""
+    if isinstance(ent, dict):
+        name, shape = ent.get("name"), ent.get("shape")
+        if (isinstance(name, str) and isinstance(shape, list)
+                and all(type(d) is int and d >= 0 for d in shape)):
+            return name, tuple(shape)
+    raise DataError(f"{path}: corrupt checkpoint header: malformed entry")

@@ -27,12 +27,18 @@ def wav_read(path) -> AudioClip:
             raw = w.readframes(n)
     except (wave.Error, EOFError) as e:
         raise DataError(f"{path}: not a readable WAV file ({e})") from None
+    except RuntimeError:  # wave's bare error for a chunk seek past its RIFF chunk
+        raise DataError(f"{path}: not a readable WAV file (a chunk size runs past "
+                        "its RIFF chunk)") from None
     if channels != 1:
         raise DataError(f"{path}: expected mono, got {channels} channels; downmix first")
     if width != 2:
         raise DataError(f"{path}: expected 16-bit PCM, got {8 * width}-bit")
     if rate != 16000:
         raise DataError(f"{path}: expected 16000 Hz, got {rate} Hz; resample first")
+    if len(raw) % 2:
+        raise DataError(f"{path}: data chunk ends mid-sample ({len(raw)} bytes); "
+                        "the file is truncated")
     ints = np.frombuffer(raw, dtype="<i2")
     return AudioClip(ints.astype(np.float64) / _SCALE, sample_rate=rate)
 

@@ -7,6 +7,8 @@ bug in the library cannot hide in a shared code path.
 import csv
 
 import numpy as np
+from hypothesis import settings
+from hypothesis import strategies as st
 
 
 def conv1d_ref(x, w, b, groups=1, dilation=1):
@@ -66,6 +68,51 @@ def conv2d_ref(x, w, b, stride=(1, 1), dilation=(1, 1)):
                                 acc += x[bi, sy, sx, ci] * w[i, j, ci, co]
                     out[bi, oy, ox, co] = acc
     return out
+
+
+def conv1d_depthwise_grads_ref(x, w, b, g, dilation=1):
+    """Depthwise same-padded conv1d and its grads for the cotangent ``g``.
+
+    Keeps the padded input from the forward for the backward, the way the
+    plain composition would; the library re-pads in its backward instead.
+    Same expressions in the same order, so agreement is bit for bit.
+    Returns (out, gx, gw, gb).
+    """
+    k, length = w.shape[0], x.shape[1]
+    span = (k - 1) * dilation
+    pl = span // 2
+    xp = np.pad(x, ((0, 0), (pl, span - pl), (0, 0)))
+    wk = w[:, 0, :]
+    out = np.zeros_like(x)
+    for t in range(k):
+        out += xp[:, t * dilation:t * dilation + length, :] * wk[t]
+    out += b
+    gxp = np.zeros_like(xp)
+    gw = np.empty_like(w)
+    for t in range(k):
+        off = t * dilation
+        gxp[:, off:off + length, :] += g * wk[t]
+        gw[t, 0, :] = (xp[:, off:off + length, :] * g).sum(axis=(0, 1))
+    return out, gxp[:, pl:pl + length, :], gw, g.sum(axis=(0, 1))
+
+
+def instance_norm_grads_ref(x, gamma, beta, g, eps=1e-5):
+    """Instance norm over axis 1 of (N, L, C) and its grads for ``g``.
+
+    Keeps the normalized input ``xhat`` from the forward for the backward;
+    the library recomputes it there instead.  Same expressions in the same
+    order, so agreement is bit for bit.  Returns (out, gx, ggamma, gbeta).
+    """
+    mu = x.mean(axis=1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    out = xhat * gamma + beta
+    gg = g * gamma
+    m1 = gg.mean(axis=1, keepdims=True)
+    m2 = (gg * xhat).mean(axis=1, keepdims=True)
+    gx = inv * (gg - m1 - xhat * m2)
+    return out, gx, (g * xhat).sum(axis=(0, 1)), g.sum(axis=(0, 1))
 
 
 def stft_ref(samples, n_fft=400, hop=100, window=None):
@@ -138,3 +185,25 @@ def read_curves_csv(path):
     for row in csv.DictReader(body):
         rows.append(row)
     return rows
+
+
+# Parser fuzzing: a fixed example set per test, and no example database.
+FUZZ = settings(derandomize=True, max_examples=300, deadline=None, database=None)
+
+# Bytes that keep a JSON header parseable more often than random ones do.
+_JSON_BYTES = b'0123456789-.eE[]{}",: '
+
+
+def corrupt_bytes(data, raw):
+    """``raw`` cut short, or with one to four bytes each XORed with a random
+    mask or overwritten by a JSON character; drawn from Hypothesis ``data``."""
+    if data.draw(st.booleans()):
+        return raw[:data.draw(st.integers(0, len(raw) - 1))]
+    buf = bytearray(raw)
+    for _ in range(data.draw(st.integers(1, 4))):
+        i = data.draw(st.integers(0, len(buf) - 1))
+        if data.draw(st.booleans()):
+            buf[i] ^= data.draw(st.integers(1, 255))
+        else:
+            buf[i] = data.draw(st.sampled_from(_JSON_BYTES))
+    return bytes(buf)

@@ -8,7 +8,8 @@ import densetsnet.autodiff as ad
 from densetsnet.autodiff import Tensor, backward, grad_check, tensor
 from densetsnet.errors import GraphError, NumericalError, ShapeError
 
-from helpers import conv1d_ref, conv2d_ref
+from helpers import (conv1d_depthwise_grads_ref, conv1d_ref, conv2d_ref,
+                     instance_norm_grads_ref)
 
 N_SEEDS = 100
 
@@ -324,6 +325,55 @@ def test_grad_instance_norm():
     assert grad_check(lambda: ad.mean_all(ad.square(ad.instance_norm(x, g, b))), [x, g, b]) < 1e-6
 
 
+# ---------------------------------------------------------------------------
+# memory-lean closures against what they replace, bit for bit
+# ---------------------------------------------------------------------------
+
+def _grads_for(cotangent, out, leaves):
+    """Backward of sum(out * cotangent), so ``out`` receives exactly ``cotangent``."""
+    backward(ad.sum_all(ad.mul_const(out, cotangent)))
+    return [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0])
+def test_learnable_sigmoid_is_the_composed_ops_bit_for_bit(beta):
+    rng = np.random.default_rng(29)
+    x0, a0 = rng.standard_normal((2, 9, 4)) * 3, rng.uniform(0.5, 2.0, 4)
+    r = rng.standard_normal((2, 9, 4))
+    results = []
+    for op in (ad.learnable_sigmoid,
+               lambda x, a, beta: ad.scale(ad.sigmoid(ad.channel_scale(x, a)), beta)):
+        x, a = Tensor(x0.copy(), requires_grad=True), Tensor(a0.copy(), requires_grad=True)
+        out = op(x, a, beta=beta)
+        results.append([out.data] + _grads_for(r, out, (x, a)))
+    for fused, composed in zip(*results):
+        np.testing.assert_array_equal(fused, composed)
+
+
+def test_instance_norm_grads_match_kept_state_oracle():
+    rng = np.random.default_rng(30)
+    for shape in ((2, 9, 3), (1, 16, 5)):
+        x, gamma, beta = leaf(rng, *shape), leaf(rng, shape[-1]), leaf(rng, shape[-1])
+        r = rng.standard_normal(shape)
+        out = ad.instance_norm(x, gamma, beta)
+        got = [out.data] + _grads_for(r, out, (x, gamma, beta))
+        want = instance_norm_grads_ref(x.data, gamma.data, beta.data, r)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+
+def test_conv1d_depthwise_taps_grads_match_kept_state_oracle():
+    rng = np.random.default_rng(31)
+    for dilation in (1, 2):
+        x, w, b = leaf(rng, 2, 11, 4), leaf(rng, 3, 1, 4), leaf(rng, 4)
+        r = rng.standard_normal((2, 11, 4))
+        out = ad.conv1d(x, w, b, groups=4, dilation=dilation)
+        got = [out.data] + _grads_for(r, out, (x, w, b))
+        want = conv1d_depthwise_grads_ref(x.data, w.data, b.data, r, dilation)
+        for g, ref in zip(got, want):
+            np.testing.assert_array_equal(g, ref)
+
+
 def test_grad_property_sweep_random_composites():
     # many seeds, small random graphs mixing the op set
     rng = np.random.default_rng(28)
@@ -356,6 +406,33 @@ def test_repeated_backward_accumulates_additively():
     assert np.allclose(x.grad, 2 * first)
     x.zero_grad()
     assert x.grad is None
+
+
+def test_backward_twice_on_one_graph_raises():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    y = ad.square(x)
+    loss = ad.sum_all(y)
+    backward(loss)
+    first = x.grad.copy()
+    with pytest.raises(GraphError):
+        backward(loss)
+    # a new graph built on a consumed node is refused before any grad moves
+    with pytest.raises(GraphError):
+        backward(ad.sum_all(ad.mul(y, x)))
+    np.testing.assert_array_equal(x.grad, first)
+
+
+def test_backward_sets_grad_on_leaves_only():
+    rng = np.random.default_rng(4)
+    x, w, b = leaf(rng, 2, 5, 3), leaf(rng, 1, 3, 3), leaf(rng, 3)
+    h = ad.conv1d(x, w, b)
+    y = ad.hardswish(h)
+    loss = ad.mean_all(ad.square(y))
+    backward(loss)
+    for t in (h, y, loss):
+        assert t.grad is None
+    for t in (x, w, b):
+        assert t.grad is not None and t.grad.shape == t.shape
 
 
 def test_diamond_graph_sums_both_paths():

@@ -1,13 +1,19 @@
 """Checkpoint container: bit-exact round trips and corruption detection."""
 
+import hashlib
+import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from densetsnet import checkpoint
 from densetsnet.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from densetsnet.errors import DataError
+
+from helpers import FUZZ, corrupt_bytes
 
 
 def _sample_arrays(rng):
@@ -104,3 +110,68 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
     back, cfg, extra = load_checkpoint(p)
     assert cfg == {"k": 1} and extra["step"] == 1
     assert [q.name for q in tmp_path.iterdir()] == ["c.dtsn"]
+
+
+# ---------------------------------------------------------------------------
+# corrupt files: only DataError may escape, so the CLI exits 3
+# ---------------------------------------------------------------------------
+
+def _write_raw(p, header, payload=b""):
+    hb = json.dumps(header).encode("utf-8")
+    p.write_bytes(MAGIC + struct.pack("<I", VERSION) + struct.pack("<Q", len(hb)) + hb + payload)
+
+
+def _header(payload, entries):
+    return {"config": {}, "entries": entries, "extra": {},
+            "sha256": hashlib.sha256(payload).hexdigest()}
+
+
+def test_truncated_header_is_data_error(tmp_path):
+    p = tmp_path / "c.dtsn"
+    save_checkpoint(p, _sample_arrays(np.random.default_rng(4)), {}, {})
+    p.write_bytes(p.read_bytes()[:10])
+    with pytest.raises(DataError, match="truncated"):
+        load_checkpoint(p)
+
+
+def test_header_not_a_dict_is_data_error(tmp_path):
+    p = tmp_path / "c.dtsn"
+    _write_raw(p, [1, 2])
+    with pytest.raises(DataError, match="header"):
+        load_checkpoint(p)
+
+
+def test_header_without_checksum_is_data_error(tmp_path):
+    p = tmp_path / "c.dtsn"
+    header = _header(b"", [])
+    del header["sha256"]
+    _write_raw(p, header)
+    with pytest.raises(DataError, match="sha256"):
+        load_checkpoint(p)
+
+
+def test_entry_larger_than_payload_is_data_error(tmp_path):
+    p = tmp_path / "c.dtsn"
+    payload = np.arange(2.0).astype("<f8").tobytes()
+    _write_raw(p, _header(payload, [{"name": "x", "shape": [100]}]), payload)
+    with pytest.raises(DataError, match="payload"):
+        load_checkpoint(p)
+
+
+@pytest.fixture(scope="module")
+def valid_checkpoint(tmp_path_factory):
+    p = tmp_path_factory.mktemp("fuzz") / "c.dtsn"
+    save_checkpoint(p, _sample_arrays(np.random.default_rng(5)), {"depth": 4, "lr": 5e-4},
+                    {"step": 12, "best_val": None})
+    return p, p.read_bytes()
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_checkpoint_raises_only_data_error(valid_checkpoint, data):
+    p, raw = valid_checkpoint
+    p.write_bytes(corrupt_bytes(data, raw))
+    try:
+        load_checkpoint(p)
+    except DataError:
+        pass

@@ -238,6 +238,17 @@ def test_enhance_missing_input(trained, tmp_path):
     assert rc == 3
 
 
+def test_enhance_truncated_inputs_exit_3(trained, tmp_path):
+    ckpt = tmp_path / "short.dtsn"
+    ckpt.write_bytes(trained["ckpt"].read_bytes()[:10])
+    wav = tmp_path / "short.wav"
+    wav.write_bytes((trained["noisy"] / "utt000.wav").read_bytes()[:-1])
+    for ck, src in ((ckpt, trained["noisy"] / "utt000.wav"), (trained["ckpt"], wav)):
+        rc = main(["enhance", "--ckpt", str(ck), "--in", str(src),
+                   "--out", str(tmp_path / "o.wav")])
+        assert rc == 3, (ck.name, src.name)
+
+
 def test_enhance_empty_directory(trained, tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()

@@ -4,10 +4,14 @@ import wave
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from densetsnet.dsp import AudioClip
 from densetsnet.errors import DataError
 from densetsnet.wavio import wav_read, wav_write
+
+from helpers import FUZZ, corrupt_bytes
 
 
 def test_write_read_round_trip_bit_exact(tmp_path):
@@ -102,3 +106,33 @@ def test_write_audio_clip_object(tmp_path):
     p = tmp_path / "clip.wav"
     wav_write(p, clip)
     assert len(wav_read(p)) == 100
+
+
+# ---------------------------------------------------------------------------
+# corrupt files: only DataError may escape, so the CLI exits 3
+# ---------------------------------------------------------------------------
+
+def test_read_rejects_odd_byte_data_chunk(tmp_path):
+    p = tmp_path / "odd.wav"
+    wav_write(p, np.linspace(-0.5, 0.5, 200))
+    p.write_bytes(p.read_bytes()[:-1])
+    with pytest.raises(DataError, match="sample"):
+        wav_read(p)
+
+
+@pytest.fixture(scope="module")
+def valid_wav(tmp_path_factory):
+    p = tmp_path_factory.mktemp("fuzz") / "x.wav"
+    wav_write(p, np.sin(np.arange(24) * 0.3) * 0.5)  # header is half the file
+    return p, p.read_bytes()
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_wav_raises_only_data_error(valid_wav, data):
+    p, raw = valid_wav
+    p.write_bytes(corrupt_bytes(data, raw))
+    try:
+        wav_read(p)
+    except DataError:
+        pass

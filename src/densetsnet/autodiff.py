@@ -16,9 +16,10 @@ with no parents and no closure, so an intermediate is freed as soon as its
 last reader is done and inference memory stays a few feature maps wide.  The
 arithmetic is the same, so values match a recorded forward bit for bit.
 
-Arrays are numpy ndarrays, and float64 is the working precision.  Ops keep
-the dtype numpy's promotion gives them, so float64 parameters turn a float32
-input into a float64 forward; there is no float32 path.  Broadcasting is
+Arrays are numpy ndarrays.  Training works in float64; inference may run
+in float32.  Every op keeps the dtype of its inputs, values and grads alike,
+so float32 parameters and a float32 input give a float32 forward, while one
+float64 operand promotes the result to float64.  Broadcasting is
 deliberately narrow: bias adds and per-channel/per-instance scale factors
 only.
 """
@@ -296,8 +297,9 @@ def hardswish(x):
     out = d * np.clip(d + 3.0, 0.0, 6.0) / 6.0
 
     def bwd(g):
+        # already in d's dtype: python-float operands do not promote
         slope = np.where(d <= -3.0, 0.0, np.where(d >= 3.0, 1.0, (2.0 * d + 3.0) / 6.0))
-        return (g * slope.astype(d.dtype),)
+        return (g * slope,)
     return _make(out, (x,), bwd)
 
 
@@ -492,19 +494,25 @@ def _next_fast_len(n):
 def _conv1d_dw_fft(x, w, b, xp, length, pl):
     # Linear correlation via FFT along L; any transform size >= L + K - 1
     # is wrap-free for taps 0..K-1, so round up to a fast composite.
+    # numpy 2's np.fft.rfft passes its default scale as a Python int, which
+    # sends a float32 input through pocketfft's float64 loop (twice the
+    # bytes and time); "ortho" scales in the input's dtype.  float64 keeps
+    # the default, so its values stay bit for bit.  Under "ortho" xf and gf
+    # each carry 1/sqrt(nf), so the weight grad's inverse adds no 1/nf.
+    norm, gw_norm = ("backward", "backward") if x.dtype == np.float64 else ("ortho", "forward")
     k = w.shape[0]
     wk = w.data[:, 0, :]  # (K, C)
     nf = _next_fast_len(length + k - 1)
-    xf = np.fft.rfft(xp, n=nf, axis=1)
+    xf = np.fft.rfft(xp, n=nf, axis=1, norm=norm)
     wf = np.fft.rfft(wk, n=nf, axis=0)
-    out = np.fft.irfft(xf * np.conj(wf)[None], n=nf, axis=1)[:, :length, :]
+    out = np.fft.irfft(xf * np.conj(wf)[None], n=nf, axis=1, norm=norm)[:, :length, :]
     out = out.astype(x.dtype, copy=False) + b.data
 
     def bwd(g):
-        gf = np.fft.rfft(g, n=nf, axis=1)
-        gx_pad = np.fft.irfft(gf * wf[None], n=nf, axis=1)
+        gf = np.fft.rfft(g, n=nf, axis=1, norm=norm)
+        gx_pad = np.fft.irfft(gf * wf[None], n=nf, axis=1, norm=norm)
         gx = np.ascontiguousarray(gx_pad[:, pl:pl + length, :]).astype(x.dtype, copy=False)
-        gw = np.fft.irfft((xf * np.conj(gf)).sum(axis=0), n=nf, axis=0)[:k, :]
+        gw = np.fft.irfft((xf * np.conj(gf)).sum(axis=0), n=nf, axis=0, norm=gw_norm)[:k, :]
         gw = gw.astype(x.dtype, copy=False)[:, None, :]
         gb = g.sum(axis=(0, 1))
         return gx, gw, gb

@@ -1,11 +1,14 @@
 """Versioned binary checkpoint container.
 
-Layout: 4-byte magic, u32 version, u64 header length, UTF-8 JSON header,
-then the raw payload: every entry's float64 data little-endian, in header
-order.  The header carries a flat config echo, the entry catalog
-(name, shape), a free-form extra dict (step counter, RNG state, best metric),
-and a SHA-256 of the payload so corruption is caught before use.
-Round-trips are bit-exact: arrays are dumped and restored byte-identical.
+Layout: 4-byte magic, u32 version, u64 header length, the 32-byte SHA-256
+of the header bytes, UTF-8 JSON header, then the raw payload: every entry's
+float64 data little-endian, in header order.  The header carries a flat
+config echo, the entry catalog (name, shape), a free-form extra dict (step
+counter, RNG state, best metric), and a SHA-256 of the payload.  With both
+digests, an edit or corruption anywhere in the file is caught before use,
+also one that leaves the header valid JSON.  Version 1 files, which lack the
+header digest, still load.  Round-trips are bit-exact: arrays are dumped and
+restored byte-identical.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ import numpy as np
 from .errors import DataError
 
 MAGIC = b"DTSN"
-VERSION = 1
+VERSION = 2
+_PREAMBLE = {1: 16, 2: 48}  # bytes before the header, by version
 _HEADER_KEYS = {"config": dict, "entries": list, "extra": dict, "sha256": str}
 
 
@@ -51,6 +55,7 @@ def save_checkpoint(path, arrays: dict, config: dict, extra: dict | None = None)
             f.write(MAGIC)
             f.write(struct.pack("<I", VERSION))
             f.write(struct.pack("<Q", len(hb)))
+            f.write(hashlib.sha256(hb).digest())
             f.write(hb)
             f.write(payload)
             f.flush()
@@ -62,7 +67,7 @@ def save_checkpoint(path, arrays: dict, config: dict, extra: dict | None = None)
 
 
 def load_checkpoint(path):
-    """Returns (arrays, config, extra); verifies magic, version, checksum.
+    """Returns (arrays, config, extra); verifies magic, version, checksums.
 
     Any malformed file raises DataError: the header is checked for its keys
     and types and every entry for a sane shape before the payload is read.
@@ -71,14 +76,21 @@ def load_checkpoint(path):
         raw = f.read()
     if raw[:4] != MAGIC:
         raise DataError(f"{path}: not a checkpoint file (bad magic)")
-    if len(raw) < 16:
-        raise DataError(f"{path}: truncated checkpoint ({len(raw)} bytes, header needs 16)")
+    if len(raw) < 8:
+        raise DataError(f"{path}: truncated checkpoint ({len(raw)} bytes)")
     (version,) = struct.unpack_from("<I", raw, 4)
-    if version != VERSION:
+    if version not in _PREAMBLE:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
+    start = _PREAMBLE[version]
+    if len(raw) < start:
+        raise DataError(f"{path}: truncated checkpoint ({len(raw)} bytes, "
+                        f"version {version} header needs {start})")
     (hlen,) = struct.unpack_from("<Q", raw, 8)
+    hb = raw[start:start + hlen]
+    if version >= 2 and hashlib.sha256(hb).digest() != raw[16:48]:
+        raise DataError(f"{path}: checkpoint header fails its checksum")
     try:
-        header = json.loads(raw[16:16 + hlen].decode("utf-8"))
+        header = json.loads(hb.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataError(f"{path}: corrupt checkpoint header: {e}") from None
     if not isinstance(header, dict):
@@ -86,7 +98,7 @@ def load_checkpoint(path):
     for key, kind in _HEADER_KEYS.items():
         if not isinstance(header.get(key), kind):
             raise DataError(f"{path}: corrupt checkpoint header: missing or malformed {key!r}")
-    payload = raw[16 + hlen:]
+    payload = raw[start + hlen:]
     if hashlib.sha256(payload).hexdigest() != header["sha256"]:
         raise DataError(f"{path}: checkpoint payload fails its checksum")
     arrays = {}

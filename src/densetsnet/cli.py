@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
+
+import numpy as np
 
 from .checkpoint import load_checkpoint
 from .errors import ConfigError, DataError, NumericalError, ShapeError
@@ -19,7 +22,7 @@ from .losses import proxy_quality
 from .model import build_model
 from .training import (ECHOED_FIELDS, DatasetSpec, PairedDataset,
                        configs_from_echo, enhance_waveforms, synth_dataset, train)
-from .wavio import wav_read, wav_write
+from .wavio import wav_read, wav_seconds, wav_write
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
@@ -133,10 +136,14 @@ def cmd_train(args) -> int:
 
 
 def _load_model(ckpt_path):
+    """Build the checkpoint's model with its parameters cast to float32: the
+    CLI only runs inference, and float32 halves the bytes every gaze-block
+    map moves.  Training keeps float64 models in memory."""
     arrays, echo, extra = load_checkpoint(ckpt_path)
     model_cfg, stft_cfg = configs_from_echo(echo)
     model = build_model(model_cfg, stft_cfg, seed=0)
     model.store.load_state({k[2:]: v for k, v in arrays.items() if k.startswith("p/")})
+    model.store.astype(np.float32)
     return model, stft_cfg, echo, extra
 
 
@@ -149,6 +156,7 @@ def cmd_enhance(args) -> int:
     model, stft_cfg, _, _ = _load_model(args.ckpt)
     in_path = Path(getattr(args, "in"))
     out_path = Path(args.out)
+    cpu0 = time.process_time()
     if in_path.is_dir():
         names = sorted(p.name for p in in_path.glob("*.wav"))
         if not names:
@@ -159,14 +167,20 @@ def cmd_enhance(args) -> int:
             if target.exists() and not args.force:
                 raise DataError(f"{target} exists; use --force to overwrite")
             _enhance_one(model, stft_cfg, in_path / name, target)
-        print(f"enhanced {len(names)} files into {out_path}")
+        written = [out_path / name for name in names]
+        done = f"enhanced {len(names)} files into {out_path}"
     else:
         if not in_path.exists():
             raise DataError(f"input not found: {in_path}")
         if out_path.exists() and not args.force:
             raise DataError(f"{out_path} exists; use --force to overwrite")
         _enhance_one(model, stft_cfg, in_path, out_path)
-        print(f"enhanced {in_path} -> {out_path}")
+        written = [out_path]
+        done = f"enhanced {in_path} -> {out_path}"
+    cpu_s = time.process_time() - cpu0
+    audio_s = sum(wav_seconds(p) for p in written)  # > 0: a clip is at least one window
+    print(f"{done} ({model.store.dtype}, {audio_s:.2f} s of audio, "
+          f"CPU real-time factor {cpu_s / audio_s:.3f})")
     return 0
 
 

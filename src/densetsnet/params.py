@@ -55,6 +55,22 @@ class ParamStore:
     def tensors(self):
         return list(self._params.values())
 
+    @property
+    def dtype(self):
+        """The parameters' dtype: float64 as built and loaded, float32 after
+        ``astype(np.float32)``."""
+        return next(iter(self._params.values())).dtype
+
+    def astype(self, dtype):
+        """Cast every parameter once, in place, and drop its grad.
+
+        For inference: a float32 store makes the forward run in float32.
+        Training, ``load_state`` and checkpoints work in float64.
+        """
+        for t in self._params.values():
+            t.data = t.data.astype(dtype, copy=False)
+            t.grad = None
+
     def count(self) -> int:
         return sum(t.size for t in self._params.values())
 

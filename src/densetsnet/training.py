@@ -272,11 +272,14 @@ def enhance_waveforms(model, noisy: np.ndarray, stft_cfg: StftConfig):
 
     Returns (enhanced magnitude (1, T, F), waveform (L,)) as plain arrays.
     Runs under no_grad, so no tape is recorded and each feature map is freed
-    once the next layer has read it.
+    once the next layer has read it.  The model sees the magnitude in its
+    parameters' dtype, so a float32 model runs a float32 forward; the STFT
+    and the synthesis stay float64.
     """
     with no_grad():
         spec = stft(Tensor(noisy[None, :]), stft_cfg)
-        _, enh = model.forward(spec.mag)
+        mag = Tensor(spec.mag.data.astype(model.store.dtype, copy=False))
+        _, enh = model.forward(mag)
         return enh.data, istft(ComplexSpec(enh, spec.phase), stft_cfg, noisy.shape[0]).data[0]
 
 

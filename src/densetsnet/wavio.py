@@ -43,6 +43,15 @@ def wav_read(path) -> AudioClip:
     return AudioClip(ints.astype(np.float64) / _SCALE, sample_rate=rate)
 
 
+def wav_seconds(path) -> float:
+    """Duration of a WAV file, read from its header alone."""
+    try:
+        with wave.open(str(path), "rb") as w:
+            return w.getnframes() / w.getframerate()
+    except (wave.Error, EOFError) as e:
+        raise DataError(f"{path}: not a readable WAV file ({e})") from None
+
+
 def wav_write(path, clip_or_samples, sample_rate: int = 16000):
     if isinstance(clip_or_samples, AudioClip):
         samples = clip_or_samples.samples

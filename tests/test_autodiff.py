@@ -245,6 +245,19 @@ def test_grad_hardswish_off_kinks():
         assert grad_check(lambda: ad.mean_all(ad.hardswish(x)), [x]) < 1e-6
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_hardswish_grad_is_the_piecewise_slope_bit_for_bit(dtype):
+    rng = np.random.default_rng(22)
+    d = np.concatenate([rng.uniform(-5, 5, 200), [-3.0, 3.0, 0.0]]).astype(dtype)
+    g = rng.standard_normal(d.shape).astype(dtype)
+    x = Tensor(d, requires_grad=True)
+    out = ad.hardswish(x)
+    backward(ad.sum_all(ad.mul(out, Tensor(g))))
+    slope = np.where(d <= -3.0, 0.0, np.where(d >= 3.0, 1.0, (2.0 * d + 3.0) / 6.0))
+    np.testing.assert_array_equal(x.grad, g * slope.astype(dtype))
+    assert x.grad.dtype == dtype
+
+
 def test_grad_broadcast_ops():
     rng = np.random.default_rng(22)
     x = leaf(rng, 2, 5, 3)
@@ -524,3 +537,89 @@ def test_grad_check_rejects_non_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(GraphError):
         grad_check(lambda: ad.square(x), [x])
+
+
+# ---------------------------------------------------------------------------
+# float32 stays float32: values and grads keep the inputs' precision
+# ---------------------------------------------------------------------------
+
+# op name -> a function giving (output, leaves) from ``mk(*shape)``, which draws a
+# leaf in the dtype under test; every public op of autodiff is listed, conv1d
+# once per kernel path
+_F32_CASES = {
+    "add": lambda mk: (lambda a, b: (ad.add(a, b), (a, b)))(mk(2, 3, 4), mk(4)),
+    "sub": lambda mk: (lambda a, b: (ad.sub(a, b), (a, b)))(mk(2, 3, 4), mk(2, 1, 4)),
+    "mul": lambda mk: (lambda a, b: (ad.mul(a, b), (a, b)))(mk(2, 3, 4), mk(2, 1, 4)),
+    "scale": lambda mk: (lambda a: (ad.scale(a, 2.5), (a,)))(mk(3, 4)),
+    "mul_const": lambda mk: (lambda a: (ad.mul_const(a, np.linspace(0.5, 2.0, 4)), (a,)))(
+        mk(3, 4)),
+    "square": lambda mk: (lambda a: (ad.square(a), (a,)))(mk(3, 4)),
+    "sigmoid": lambda mk: (lambda a: (ad.sigmoid(a), (a,)))(mk(3, 4)),
+    "hardswish": lambda mk: (lambda a: (ad.hardswish(ad.scale(a, 4.0)), (a,)))(mk(3, 8)),
+    "simple_gate": lambda mk: (lambda a: (ad.simple_gate(a), (a,)))(mk(2, 3, 4)),
+    "learnable_sigmoid": lambda mk: (lambda a, al: (ad.learnable_sigmoid(a, al), (a, al)))(
+        mk(2, 3, 4), mk(4)),
+    "channel_scale": lambda mk: (lambda a, al: (ad.channel_scale(a, al), (a, al)))(
+        mk(2, 3, 4), mk(4)),
+    "reshape": lambda mk: (lambda a: (ad.reshape(a, (6, 4)), (a,)))(mk(2, 3, 4)),
+    "transpose": lambda mk: (lambda a: (ad.transpose(a, (0, 2, 1)), (a,)))(mk(2, 3, 4)),
+    "concat_last": lambda mk: (lambda a, b: (ad.concat_last([a, b]), (a, b)))(
+        mk(2, 3, 4), mk(2, 3, 2)),
+    "split_last": lambda mk: (lambda a: (ad.mul(*ad.split_last(a, (2, 2))), (a,)))(
+        mk(2, 3, 4)),
+    "slice_last": lambda mk: (lambda a: (ad.slice_last(a, 1, 3), (a,)))(mk(2, 3, 4)),
+    "mean": lambda mk: (lambda a: (ad.mul(ad.mean(a, axis=1, keepdims=True),
+                                         ad.reshape(ad.mean(a, axis=1), (2, 1, 4))), (a,)))(
+        mk(2, 3, 4)),
+    "mean_all": lambda mk: (lambda a: (ad.mean_all(a), (a,)))(mk(3, 4)),
+    "sum_all": lambda mk: (lambda a: (ad.sum_all(a), (a,)))(mk(3, 4)),
+    "complex_magnitude": lambda mk: (lambda a, b: (ad.complex_magnitude(a, b), (a, b)))(
+        mk(3, 4), mk(3, 4)),
+    "conv1d/pointwise": lambda mk: (lambda x, w, b: (ad.conv1d(x, w, b), (x, w, b)))(
+        mk(2, 7, 3), mk(1, 3, 4), mk(4)),
+    "conv1d/dense_taps": lambda mk: (lambda x, w, b: (ad.conv1d(x, w, b), (x, w, b)))(
+        mk(2, 7, 3), mk(3, 3, 4), mk(4)),
+    "conv1d/depthwise_taps": lambda mk: (lambda x, w, b: (
+        ad.conv1d(x, w, b, groups=3, dilation=2), (x, w, b)))(
+        mk(2, 7, 3), mk(3, 1, 3), mk(3)),
+    "conv1d/depthwise_fft": lambda mk: (lambda x, w, b: (
+        ad.conv1d(x, w, b, groups=3), (x, w, b)))(
+        mk(2, 12, 3), mk(9, 1, 3), mk(3)),
+    "conv1d/grouped": lambda mk: (lambda x, w, b: (
+        ad.conv1d(x, w, b, groups=2, dilation=2), (x, w, b)))(
+        mk(2, 8, 4), mk(3, 2, 2), mk(2)),
+    "conv2d_pointwise": lambda mk: (lambda x, w, b: (ad.conv2d_pointwise(x, w, b), (x, w, b)))(
+        mk(2, 3, 5, 3), mk(3, 4), mk(4)),
+    "conv2d": lambda mk: (lambda x, w, b: (ad.conv2d(x, w, b, stride=(2, 2)), (x, w, b)))(
+        mk(2, 5, 6, 3), mk(3, 3, 3, 4), mk(4)),
+    "conv2d_depthwise": lambda mk: (lambda x, w, b: (ad.conv2d_depthwise(x, w, b), (x, w, b)))(
+        mk(2, 5, 6, 3), mk(3, 3, 3), mk(3)),
+    "instance_norm": lambda mk: (lambda x, g, b: (ad.instance_norm(x, g, b), (x, g, b)))(
+        mk(2, 7, 3), mk(3), mk(3)),
+}
+
+
+def test_float32_cases_cover_every_public_op():
+    not_ops = {"Tensor", "tensor", "constant", "backward", "grad_check", "no_grad"}
+    assert {name.split("/")[0] for name in _F32_CASES} == set(ad.__all__) - not_ops
+
+
+@pytest.mark.parametrize("name", sorted(_F32_CASES))
+def test_float32_inputs_give_float32_values_and_grads(name):
+    """A silent upcast to float64 would double the bytes every map moves.
+    The float32 results also match the float64 ones to float32 rounding."""
+    results = {}
+    for dtype in (np.float32, np.float64):
+        rng = np.random.default_rng(31)
+
+        def mk(*shape):
+            return Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+        out, leaves = _F32_CASES[name](mk)
+        assert out.dtype == dtype, out.dtype
+        cotangent = Tensor(rng.standard_normal(out.shape).astype(dtype))
+        backward(ad.sum_all(ad.mul(out, cotangent)))
+        for i, t in enumerate(leaves):
+            assert t.grad is not None and t.grad.dtype == dtype, (i, t.grad)
+        results[dtype] = [out.data] + [t.grad for t in leaves]
+    for got, want in zip(results[np.float32], results[np.float64]):
+        np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-4 * np.abs(want).max())

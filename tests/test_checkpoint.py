@@ -93,6 +93,33 @@ def test_scalar_and_empty_shapes(tmp_path):
     assert back["y"].shape == (0, 3)
 
 
+def test_edited_header_digit_is_data_error(tmp_path):
+    """A header edit that stays valid JSON must not load as a different config."""
+    p = tmp_path / "c.dtsn"
+    save_checkpoint(p, _sample_arrays(np.random.default_rng(6)), {"depth": 4}, {"step": 1})
+    raw = p.read_bytes()
+    assert raw.count(b'"depth": 4') == 1
+    p.write_bytes(raw.replace(b'"depth": 4', b'"depth": 7'))
+    with pytest.raises(DataError, match="header"):
+        load_checkpoint(p)
+
+
+def test_version_1_file_still_loads(tmp_path):
+    """Version 1 has no header digest: magic, version, header length, header, payload."""
+    arrays = _sample_arrays(np.random.default_rng(7))
+    payload = b"".join(np.asarray(a, dtype="<f8").tobytes() for a in arrays.values())
+    header = {"config": {"depth": 4}, "extra": {"step": 3},
+              "entries": [{"name": k, "shape": list(np.shape(a))} for k, a in arrays.items()],
+              "sha256": hashlib.sha256(payload).hexdigest()}
+    hb = json.dumps(header, sort_keys=True).encode("utf-8")
+    p = tmp_path / "v1.dtsn"
+    p.write_bytes(MAGIC + struct.pack("<I", 1) + struct.pack("<Q", len(hb)) + hb + payload)
+    back, cfg, extra = load_checkpoint(p)
+    assert cfg == {"depth": 4} and extra == {"step": 3}
+    for k, a in arrays.items():
+        assert back[k].tobytes() == np.asarray(a, dtype="<f8").tobytes(), k
+
+
 def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
     rng = np.random.default_rng(2)
     good = _sample_arrays(rng)
@@ -118,7 +145,8 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
 
 def _write_raw(p, header, payload=b""):
     hb = json.dumps(header).encode("utf-8")
-    p.write_bytes(MAGIC + struct.pack("<I", VERSION) + struct.pack("<Q", len(hb)) + hb + payload)
+    p.write_bytes(MAGIC + struct.pack("<I", VERSION) + struct.pack("<Q", len(hb))
+                  + hashlib.sha256(hb).digest() + hb + payload)
 
 
 def _header(payload, entries):

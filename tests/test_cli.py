@@ -232,6 +232,46 @@ def test_enhance_directory(trained, tmp_path, capsys):
     assert names == ["utt000.wav", "utt001.wav"]
 
 
+def test_enhance_reports_precision_audio_and_rtf(trained, tmp_path, capsys):
+    rc = main(["enhance", "--ckpt", str(trained["ckpt"]),
+               "--in", str(trained["noisy"]), "--out", str(tmp_path / "enh")])
+    assert rc == 0
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    assert line.startswith(f"enhanced 2 files into {tmp_path / 'enh'} (float32, 6.00 s of audio, "
+                           "CPU real-time factor "), line
+    assert float(line.rsplit(" ", 1)[1].rstrip(")")) > 0
+
+
+@pytest.mark.parametrize("seconds", [2.0, 8.0])
+def test_float32_enhance_matches_float64_within_one_lsb(tmp_path, seconds):
+    """The CLI runs the trunk in float32; every output sample stays within
+    one 16-bit LSB of the float64 in-memory model, and segmental SNR within
+    0.01 dB."""
+    from densetsnet.checkpoint import save_checkpoint
+    from densetsnet.evaluation import ssnr
+    from densetsnet.model import build_model
+    from densetsnet.training import enhance_waveforms, synth_dataset
+
+    mcfg, scfg = ModelConfig(), StftConfig()
+    model = build_model(mcfg, scfg, seed=7)
+    ckpt = tmp_path / "m.dtsn"
+    save_checkpoint(ckpt, {f"p/{k}": t.data for k, t in model.store.items()},
+                    config_echo(mcfg, scfg, TrainConfig()))
+    synth_dataset(1, seed=int(seconds), out_dir=tmp_path / "d", duration_s=seconds)
+    noisy = wav_read(tmp_path / "d" / "noisy" / "utt000.wav").samples
+    clean = wav_read(tmp_path / "d" / "clean" / "utt000.wav").samples
+    assert main(["enhance", "--ckpt", str(ckpt), "--in", str(tmp_path / "d" / "noisy"),
+                 "--out", str(tmp_path / "enh")]) == 0
+    got = wav_read(tmp_path / "enh" / "utt000.wav").samples
+
+    _, ref = enhance_waveforms(model, noisy, scfg)
+    assert model.store.dtype == np.float64
+    ref_ints = np.clip(np.round(ref * 32768), -32768, 32767)
+    assert len(got) == len(ref_ints) == int(seconds * 16000)
+    assert np.max(np.abs(got * 32768 - ref_ints)) <= 1
+    assert abs(ssnr(clean, got) - ssnr(clean, ref)) < 0.01
+
+
 def test_enhance_missing_input(trained, tmp_path):
     rc = main(["enhance", "--ckpt", str(trained["ckpt"]),
                "--in", str(tmp_path / "ghost.wav"), "--out", str(tmp_path / "o.wav")])
@@ -247,6 +287,17 @@ def test_enhance_truncated_inputs_exit_3(trained, tmp_path):
         rc = main(["enhance", "--ckpt", str(ck), "--in", str(src),
                    "--out", str(tmp_path / "o.wav")])
         assert rc == 3, (ck.name, src.name)
+
+
+def test_enhance_edited_checkpoint_header_exits_3(trained, tmp_path, capsys):
+    raw = trained["ckpt"].read_bytes()
+    assert raw.count(b'"mask_beta": 2.0') == 1
+    ckpt = tmp_path / "edited.dtsn"
+    ckpt.write_bytes(raw.replace(b'"mask_beta": 2.0', b'"mask_beta": 3.0'))
+    rc = main(["enhance", "--ckpt", str(ckpt), "--in", str(trained["noisy"] / "utt000.wav"),
+               "--out", str(tmp_path / "o.wav")])
+    assert rc == 3
+    assert "header" in capsys.readouterr().err
 
 
 def test_enhance_empty_directory(trained, tmp_path):

@@ -278,3 +278,32 @@ def test_compression_affects_features_not_target():
     m2, e2 = pressed.forward(Tensor(mag))
     assert not np.allclose(m1.data, m2.data)
     assert np.allclose(e2.data, m2.data * mag)
+
+
+@pytest.mark.parametrize("cfg, stft_cfg", [
+    (ModelConfig(), SCFG),
+    (ModelConfig(variant="classic_ts"), SCFG),
+    (ModelConfig(adjust_depthwise=True), SCFG),
+    (ModelConfig(drop=("ca",)), StftConfig(compression=0.5)),
+], ids=["dense_ts", "classic_ts", "adjust_depthwise", "drop_ca_compressed"])
+def test_float32_forward_records_only_float32_nodes(cfg, stft_cfg, monkeypatch):
+    """After ``store.astype(np.float32)`` every node of a no_grad forward is
+    float32: one silent upcast would give the inference saving back."""
+    import densetsnet.dsp as dsp
+
+    model = build_model(cfg, stft_cfg, seed=2)
+    model.store.astype(np.float32)
+    assert model.store.dtype == np.float32
+    assert all(t.dtype == np.float32 for t in model.store.tensors())
+    dtypes = []
+    for mod in (ad, dsp):
+        def spy(data, parents, backward_fn, _make=mod._make):
+            dtypes.append(data.dtype)
+            return _make(data, parents, backward_fn)
+        monkeypatch.setattr(mod, "_make", spy)
+    mag = np.abs(np.random.default_rng(3).standard_normal((1, 9, F_BINS))) + 0.1
+    with ad.no_grad():
+        mask, enhanced = model.forward(Tensor(mag.astype(np.float32)))
+    assert mask.dtype == enhanced.dtype == np.float32
+    assert len(dtypes) > 100
+    assert set(dtypes) == {np.dtype(np.float32)}

@@ -1,15 +1,22 @@
 """Reverse-mode automatic differentiation over dense real tensors.
 
-Define-by-run: each operation produces a new Tensor that records its parent
-tensors and a closure mapping the output cotangent to parent cotangents.
-``backward`` walks the recorded graph once in reverse topological order and
-consumes it as it goes: each node drops its parents and its closure as soon
-as the closure has run, so the tape is freed while the gradients flow and a
-step never holds more than one tape.  Only leaves get a ``.grad``.  A second
-``backward`` over a consumed graph raises GraphError; a graph rebuilt by a
-new forward pass accumulates into the leaves as usual.  Closures keep only
-what their backward reads, recomputing cheap intermediates (a padded copy,
-a normalized input) rather than holding them for the life of the tape.
+Define-by-run: each operation returns a new Tensor and, while recording,
+gives it a graph record: the op's parents and a closure mapping the output
+cotangent to parent cotangents.  The record is the tape.  It holds a leaf
+parent as itself and an interior parent by that parent's record, never by
+its Tensor, and it reaches its own result only through a weak reference.
+So the tape holds exactly the arrays the closures capture: a result that no
+closure downstream reads is freed as soon as the caller drops it.  Closures
+bind the arrays, shapes and dtypes they read, never a Tensor, and recompute
+cheap intermediates (a normalized input, a shifted slice) rather than hold
+them for the life of the tape.
+
+``backward`` walks the records once in reverse topological order and
+consumes them as it goes: each record drops its parents and its closure as
+soon as the closure has run, so the tape is freed while the gradients flow
+and a step never holds more than one tape.  Only leaves get a ``.grad``.  A
+second ``backward`` over a consumed graph raises GraphError; a graph rebuilt
+by a new forward pass accumulates into the leaves as usual.
 
 Inside ``with no_grad():`` ops record nothing: each result is a bare leaf
 with no parents and no closure, so an intermediate is freed as soon as its
@@ -25,6 +32,8 @@ only.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -44,20 +53,33 @@ class Tensor:
     """A dense real array plus an optional gradient slot and graph record.
 
     ``data`` is immutable by convention after creation; only ``grad`` mutates.
-    Leaf tensors (no closure) with ``requires_grad`` accumulate gradients
+    Leaf tensors (no record) with ``requires_grad`` accumulate gradients
     additively across backward calls until ``zero_grad``.  Recorded
     (interior) tensors never get a ``.grad``, and ``backward`` consumes
-    their graph record.
+    their graph record.  ``_parents`` and ``_backward`` read the record
+    (``()`` and ``None`` on a leaf); assigning ``_backward`` replaces the
+    closure that ``backward`` will call.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_node", "__weakref__")
 
-    def __init__(self, data, requires_grad=False, parents=(), backward_fn=None):
+    def __init__(self, data, requires_grad=False):
         self.data = data if isinstance(data, np.ndarray) else np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents = tuple(parents)
-        self._backward = backward_fn
+        self._node = None
+
+    @property
+    def _parents(self):
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward(self):
+        return None if self._node is None else self._node._backward
+
+    @_backward.setter
+    def _backward(self, fn):
+        self._node._backward = fn
 
     @property
     def shape(self):
@@ -133,12 +155,43 @@ class no_grad:
 
 _recording = True  # False inside no_grad
 
+_GONE = np.empty(0)
+
+
+class _Record:
+    """The graph entry of one op's result: parents, closure, and a weak
+    reference to the result, so the tape never keeps the result alive.
+
+    It answers ``data``, ``_parents`` and ``_backward`` as a Tensor does;
+    ``data`` is empty once the result is gone.
+    """
+
+    __slots__ = ("_out", "_parents", "_backward")
+    requires_grad = True
+
+    def __init__(self, out, parents, backward_fn):
+        self._out = weakref.ref(out)
+        self._parents = parents
+        self._backward = backward_fn
+
+    @property
+    def data(self):
+        out = self._out()
+        return _GONE if out is None else out.data
+
+
+# stands in for a parent that takes no grad, so the tape does not keep its data
+_NO_GRAD = Tensor(_GONE)
+
 
 def _make(data, parents, backward_fn):
     """Internal node constructor; prunes the graph below non-grad inputs and
     records nothing under ``no_grad``."""
     if _recording and any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=True, parents=parents, backward_fn=backward_fn)
+        out = Tensor(data, requires_grad=True)
+        links = tuple((p._node or p) if p.requires_grad else _NO_GRAD for p in parents)
+        out._node = _Record(out, links, backward_fn)
+        return out
     return Tensor(data)
 
 
@@ -161,9 +214,9 @@ def _FREED(g):
 def backward(loss):
     """Accumulate reverse-mode gradients of a scalar ``loss`` into the leaves.
 
-    Visits each recorded node exactly once in reverse topological order and
-    frees the graph as it goes: a node's parents and closure are taken off
-    it just before the closure runs, and ``_FREED`` is left in their place.
+    Visits each record exactly once in reverse topological order and frees
+    the graph as it goes: a record's parents and closure are taken off it
+    just before the closure runs, and ``_FREED`` is left in their place.
     Gradients add into ``.grad`` of every leaf reached, so repeated calls on
     rebuilt graphs accumulate additively until ``zero_grad``; recorded nodes
     get no ``.grad``.  A second call on the same graph, or on a graph that
@@ -178,10 +231,12 @@ def backward(loss):
         raise GraphError("backward needs a loss on the tape: it depends on no tensor "
                          "that requires grad, or was computed under no_grad")
 
-    # Iterative DFS topological sort over the parent links.
+    # Iterative DFS topological sort over the parent links: records, and
+    # leaves as themselves.
+    root = loss._node or loss
     topo = []
     visited = set()
-    stack = [(loss, False)]
+    stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -201,8 +256,8 @@ def backward(loss):
     # Closures may hand back views or shared arrays, so an entry is only
     # updated in place once this pass owns a fresh buffer for it.  ``topo``
     # holds every node until its turn, so the ids keyed here stay unique.
-    cotangent = {id(loss): np.ones_like(loss.data)}
-    owned = {id(loss)}
+    cotangent = {id(root): np.ones_like(loss.data)}
+    owned = {id(root)}
     for i in range(len(topo) - 1, -1, -1):
         node = topo[i]
         topo[i] = None
@@ -238,21 +293,27 @@ def backward(loss):
 # ---------------------------------------------------------------------------
 
 def add(a, b):
+    sa, sb = a.shape, b.shape
+
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
     return _make(a.data + b.data, (a, b), bwd)
 
 
 def sub(a, b):
+    sa, sb = a.shape, b.shape
+
     def bwd(g):
-        return _unbroadcast(g, a.shape), -_unbroadcast(g, b.shape)
+        return _unbroadcast(g, sa), -_unbroadcast(g, sb)
     return _make(a.data - b.data, (a, b), bwd)
 
 
 def mul(a, b):
+    da, db = a.data, b.data
+
     def bwd(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
-    return _make(a.data * b.data, (a, b), bwd)
+        return _unbroadcast(g * db, da.shape), _unbroadcast(g * da, db.shape)
+    return _make(da * db, (a, b), bwd)
 
 
 def scale(x, c):
@@ -277,9 +338,11 @@ def mul_const(x, arr):
 
 
 def square(x):
+    d = x.data
+
     def bwd(g):
-        return (2.0 * x.data * g,)
-    return _make(x.data * x.data, (x,), bwd)
+        return (2.0 * d * g,)
+    return _make(d * d, (x,), bwd)
 
 
 def sigmoid(x):
@@ -294,7 +357,10 @@ def sigmoid(x):
 def hardswish(x):
     """x * clamp(x + 3, 0, 6) / 6."""
     d = x.data
-    out = d * np.clip(d + 3.0, 0.0, 6.0) / 6.0
+    out = d + 3.0  # then the same operations in this one buffer
+    np.clip(out, 0.0, 6.0, out=out)
+    out *= d
+    out /= 6.0
 
     def bwd(g):
         # already in d's dtype: python-float operands do not promote
@@ -313,7 +379,10 @@ def simple_gate(x):
     h2 = x.data[..., c:]
 
     def bwd(g):
-        return (np.concatenate([g * h2, g * h1], axis=-1),)
+        gx = np.empty(g.shape[:-1] + (c2,), np.result_type(g, h1))
+        np.multiply(g, h2, out=gx[..., :c])
+        np.multiply(g, h1, out=gx[..., c:])
+        return (gx,)
     return _make(h1 * h2, (x,), bwd)
 
 
@@ -322,11 +391,12 @@ def channel_scale(x, alpha):
     if alpha.ndim != 1 or alpha.shape[0] != x.shape[-1]:
         raise ShapeError(
             f"channel_scale alpha has shape {alpha.shape}, expected ({x.shape[-1]},)")
+    d, a = x.data, alpha.data
 
     def bwd(g):
-        ga = (g * x.data).reshape(-1, x.shape[-1]).sum(axis=0)
-        return g * alpha.data, ga
-    return _make(x.data * alpha.data, (x, alpha), bwd)
+        ga = (g * d).reshape(-1, d.shape[-1]).sum(axis=0)
+        return g * a, ga
+    return _make(d * a, (x, alpha), bwd)
 
 
 def learnable_sigmoid(x, alpha, beta=2.0):
@@ -334,24 +404,35 @@ def learnable_sigmoid(x, alpha, beta=2.0):
 
     One node with the arithmetic of ``scale(sigmoid(channel_scale(x, alpha)),
     beta)``, in the same order, so values and grads match it bit for bit;
-    the closure keeps only the sigmoid.
+    the closure keeps only the sigmoid.  At beta 1 the result is the
+    sigmoid array itself (``s * 1.0`` is ``s``), so a consumer that saves
+    the result shares the closure's copy.
     """
     if alpha.ndim != 1 or alpha.shape[0] != x.shape[-1]:
         raise ShapeError(
             f"learnable_sigmoid alpha has shape {alpha.shape}, expected ({x.shape[-1]},)")
     c = float(beta)
-    s = 0.5 * (1.0 + np.tanh(0.5 * (x.data * alpha.data)))
+    d, a = x.data, alpha.data
+    s = d * a
+    s *= 0.5
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
 
     def bwd(g):
-        gs = g * c * s * (1.0 - s)
-        ga = (gs * x.data).reshape(-1, x.shape[-1]).sum(axis=0)
-        return gs * alpha.data, ga
-    return _make(s * c, (x, alpha), bwd)
+        gs = g * c
+        gs *= s
+        gs *= 1.0 - s
+        ga = (gs * d).reshape(-1, d.shape[-1]).sum(axis=0)
+        return gs * a, ga
+    return _make(s if c == 1.0 else s * c, (x, alpha), bwd)
 
 
 def reshape(x, shape):
+    old = x.shape
+
     def bwd(g):
-        return (g.reshape(x.shape),)
+        return (g.reshape(old),)
     return _make(np.reshape(x.data, shape), (x,), bwd)
 
 
@@ -377,8 +458,10 @@ def concat_last(parts):
 
 def slice_last(x, start, stop):
     """Contiguous slice along the last axis; the adjoint zero-embeds."""
+    shape, dtype = x.shape, x.dtype
+
     def bwd(g):
-        full = np.zeros_like(x.data)
+        full = np.zeros(shape, dtype)
         full[..., start:stop] = g
         return (full,)
     return _make(np.ascontiguousarray(x.data[..., start:stop]), (x,), bwd)
@@ -399,26 +482,29 @@ def split_last(x, sizes):
 def mean(x, axis, keepdims=False):
     """Mean over a single axis."""
     axis = int(axis)
-    n = x.shape[axis]
+    shape = x.shape
+    n = shape[axis]
 
     def bwd(g):
         if not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, x.shape) / n,)
+        return (np.broadcast_to(g, shape) / n,)
     return _make(x.data.mean(axis=axis, keepdims=keepdims), (x,), bwd)
 
 
 def mean_all(x):
-    n = x.size
+    shape, dtype, n = x.shape, x.dtype, x.size
 
     def bwd(g):
-        return (np.full_like(x.data, float(g) / n),)
+        return (np.full(shape, float(g) / n, dtype),)
     return _make(np.asarray(x.data.mean()), (x,), bwd)
 
 
 def sum_all(x):
+    shape, dtype = x.shape, x.dtype
+
     def bwd(g):
-        return (np.full_like(x.data, float(g)),)
+        return (np.full(shape, float(g), dtype),)
     return _make(np.asarray(x.data.sum()), (x,), bwd)
 
 
@@ -426,12 +512,13 @@ def complex_magnitude(re, im):
     """sqrt(re^2 + im^2) with a zero-safe backward (gradient 0 where mag == 0)."""
     if re.shape != im.shape:
         raise ShapeError(f"magnitude parts disagree: re {re.shape} vs im {im.shape}")
-    m = np.hypot(re.data, im.data)
+    rd, imd = re.data, im.data
+    m = np.hypot(rd, imd)
 
     def bwd(g):
         safe = np.where(m > 0.0, m, 1.0)
         w = g / safe
-        return w * re.data, w * im.data
+        return w * rd, w * imd
     return _make(m, (re, im), bwd)
 
 
@@ -467,13 +554,14 @@ def conv1d(x, w, b, groups=1, dilation=1):
         raise ShapeError(f"conv1d bias has shape {b.shape}, expected ({cout},)")
 
     pl, pr = _same_pad_1d(k, dilation)
-    xp = np.pad(x.data, ((0, 0), (pl, pr), (0, 0))) if pl or pr else x.data
-
     depthwise = groups == cin and cout == cin
-    if depthwise and dilation == 1 and k >= 9 and length >= 2:
+    fft = depthwise and dilation == 1 and k >= 9 and length >= 2
+    if depthwise and not fft:
+        return _conv1d_dw_taps(x, w, b, pl, dilation)
+
+    xp = np.pad(x.data, ((0, 0), (pl, pr), (0, 0))) if pl or pr else x.data
+    if fft:
         return _conv1d_dw_fft(x, w, b, xp, length, pl)
-    if depthwise:
-        return _conv1d_dw_taps(x, w, b, xp, length, pl, dilation)
     if groups == 1:
         return _conv1d_dense_taps(x, w, b, xp, length, pl, dilation)
     return _conv1d_grouped(x, w, b, xp, length, pl, dilation, groups)
@@ -499,46 +587,51 @@ def _conv1d_dw_fft(x, w, b, xp, length, pl):
     # bytes and time); "ortho" scales in the input's dtype.  float64 keeps
     # the default, so its values stay bit for bit.  Under "ortho" xf and gf
     # each carry 1/sqrt(nf), so the weight grad's inverse adds no 1/nf.
-    norm, gw_norm = ("backward", "backward") if x.dtype == np.float64 else ("ortho", "forward")
+    dtype = x.dtype
+    norm, gw_norm = ("backward", "backward") if dtype == np.float64 else ("ortho", "forward")
     k = w.shape[0]
     wk = w.data[:, 0, :]  # (K, C)
     nf = _next_fast_len(length + k - 1)
     xf = np.fft.rfft(xp, n=nf, axis=1, norm=norm)
     wf = np.fft.rfft(wk, n=nf, axis=0)
     out = np.fft.irfft(xf * np.conj(wf)[None], n=nf, axis=1, norm=norm)[:, :length, :]
-    out = out.astype(x.dtype, copy=False) + b.data
+    out = out.astype(dtype, copy=False) + b.data
 
     def bwd(g):
         gf = np.fft.rfft(g, n=nf, axis=1, norm=norm)
         gx_pad = np.fft.irfft(gf * wf[None], n=nf, axis=1, norm=norm)
-        gx = np.ascontiguousarray(gx_pad[:, pl:pl + length, :]).astype(x.dtype, copy=False)
+        gx = np.ascontiguousarray(gx_pad[:, pl:pl + length, :]).astype(dtype, copy=False)
         gw = np.fft.irfft((xf * np.conj(gf)).sum(axis=0), n=nf, axis=0, norm=gw_norm)[:k, :]
-        gw = gw.astype(x.dtype, copy=False)[:, None, :]
+        gw = gw.astype(dtype, copy=False)[:, None, :]
         gb = g.sum(axis=(0, 1))
         return gx, gw, gb
     return _make(out, (x, w, b), bwd)
 
 
-def _conv1d_dw_taps(x, w, b, xp, length, pl, dilation):
-    k = w.shape[0]
-    wk = w.data[:, 0, :]
-    out = np.zeros_like(x.data)
-    for t in range(k):
-        off = t * dilation
-        out += xp[:, off:off + length, :] * wk[t]
+def _conv1d_dw_taps(x, w, b, pl, dilation):
+    # Tap t adds x shifted by s = t * dilation - pl to output rows [lo, hi);
+    # the zero padding adds nothing, so no padded copy is built in either
+    # pass, and each row sums its taps in the order a padded copy would.
+    d, wd = x.data, w.data
+    length = d.shape[1]
+    wk = wd[:, 0, :]
+    spans = []
+    for t in range(wd.shape[0]):
+        s = t * dilation - pl
+        lo, hi = max(0, -s), min(length, length - s)
+        if lo < hi:
+            spans.append((t, s, lo, hi))
+    out = np.zeros_like(d)
+    for t, s, lo, hi in spans:
+        out[:, lo:hi] += d[:, lo + s:hi + s] * wk[t]
     out += b.data
-    pr = xp.shape[1] - length - pl
 
     def bwd(g):
-        # pad again rather than keep the padded copy alive on the tape
-        xp = np.pad(x.data, ((0, 0), (pl, pr), (0, 0))) if pl or pr else x.data
-        gxp = np.zeros_like(xp)
-        gw = np.empty_like(w.data)
-        for t in range(k):
-            off = t * dilation
-            gxp[:, off:off + length, :] += g * wk[t]
-            gw[t, 0, :] = (xp[:, off:off + length, :] * g).sum(axis=(0, 1))
-        gx = gxp[:, pl:pl + length, :]
+        gx = np.zeros_like(d)
+        gw = np.zeros_like(wd)
+        for t, s, lo, hi in spans:
+            gx[:, lo + s:hi + s] += g[:, lo:hi] * wk[t]
+            gw[t, 0, :] = (d[:, lo + s:hi + s] * g[:, lo:hi]).sum(axis=(0, 1))
         return gx, gw, g.sum(axis=(0, 1))
     return _make(out, (x, w, b), bwd)
 
@@ -546,22 +639,23 @@ def _conv1d_dw_taps(x, w, b, xp, length, pl, dilation):
 def _conv1d_dense_taps(x, w, b, xp, length, pl, dilation):
     n, _, cin = x.shape
     k, _, cout = w.shape
+    wd = w.data
     flat = xp.reshape(-1, cin) if k == 1 else None
     if k == 1:
-        out = (flat @ w.data[0]).reshape(n, length, cout)
+        out = (flat @ wd[0]).reshape(n, length, cout)
+        out += b.data
     else:
         acc = np.zeros((n * length, cout), dtype=x.dtype)
         for t in range(k):
             off = t * dilation
-            acc += xp[:, off:off + length, :].reshape(-1, cin) @ w.data[t]
-        out = acc.reshape(n, length, cout)
-    out = out + b.data
+            acc += xp[:, off:off + length, :].reshape(-1, cin) @ wd[t]
+        out = acc.reshape(n, length, cout) + b.data
 
     def bwd(g):
         gflat = g.reshape(-1, cout)
-        gw = np.empty_like(w.data)
+        gw = np.empty_like(wd)
         if k == 1:
-            gx = (gflat @ w.data[0].T).reshape(n, length, cin)
+            gx = (gflat @ wd[0].T).reshape(n, length, cin)
             gw[0] = flat.T @ gflat
         else:
             gxp = np.zeros_like(xp)
@@ -569,7 +663,7 @@ def _conv1d_dense_taps(x, w, b, xp, length, pl, dilation):
                 off = t * dilation
                 seg = xp[:, off:off + length, :].reshape(-1, cin)
                 gw[t] = seg.T @ gflat
-                gxp[:, off:off + length, :] += (gflat @ w.data[t].T).reshape(n, length, cin)
+                gxp[:, off:off + length, :] += (gflat @ wd[t].T).reshape(n, length, cin)
             gx = gxp[:, pl:pl + length, :]
         return np.ascontiguousarray(gx), gw, g.sum(axis=(0, 1))
     return _make(out, (x, w, b), bwd)
@@ -578,6 +672,7 @@ def _conv1d_dense_taps(x, w, b, xp, length, pl, dilation):
 def _conv1d_grouped(x, w, b, xp, length, pl, dilation, groups):
     n, _, cin = x.shape
     k, cin_g, cout = w.shape
+    wd = w.data
     cout_g = cout // groups
     out = np.zeros((n, length, cout), dtype=x.dtype)
     for gi in range(groups):
@@ -586,12 +681,12 @@ def _conv1d_grouped(x, w, b, xp, length, pl, dilation, groups):
         for t in range(k):
             off = t * dilation
             seg = xp[:, off:off + length, xs].reshape(-1, cin_g)
-            out[:, :, os] += (seg @ w.data[t, :, os]).reshape(n, length, cout_g)
+            out[:, :, os] += (seg @ wd[t, :, os]).reshape(n, length, cout_g)
     out += b.data
 
     def bwd(g):
         gxp = np.zeros_like(xp)
-        gw = np.zeros_like(w.data)
+        gw = np.zeros_like(wd)
         for gi in range(groups):
             xs = slice(gi * cin_g, (gi + 1) * cin_g)
             os = slice(gi * cout_g, (gi + 1) * cout_g)
@@ -600,7 +695,7 @@ def _conv1d_grouped(x, w, b, xp, length, pl, dilation, groups):
                 off = t * dilation
                 seg = xp[:, off:off + length, xs].reshape(-1, cin_g)
                 gw[t, :, os] = seg.T @ gseg
-                gxp[:, off:off + length, xs] += (gseg @ w.data[t, :, os].T).reshape(n, length, cin_g)
+                gxp[:, off:off + length, xs] += (gseg @ wd[t, :, os].T).reshape(n, length, cin_g)
         return gxp[:, pl:pl + length, :], gw, g.sum(axis=(0, 1))
     return _make(out, (x, w, b), bwd)
 
@@ -615,13 +710,14 @@ def conv2d_pointwise(x, w, b):
             f"conv2d_pointwise channel mismatch: input Cin={x.shape[-1]}, weight Cin={cin}")
     if b.shape != (cout,):
         raise ShapeError(f"conv2d_pointwise bias has shape {b.shape}, expected ({cout},)")
-    lead = x.shape[:-1]
+    shape, wd = x.shape, w.data
     flat = x.data.reshape(-1, cin)
-    out = (flat @ w.data).reshape(*lead, cout) + b.data
+    out = (flat @ wd).reshape(*shape[:-1], cout)
+    out += b.data
 
     def bwd(g):
         gflat = g.reshape(-1, cout)
-        gx = (gflat @ w.data.T).reshape(x.shape)
+        gx = (gflat @ wd.T).reshape(shape)
         gw = flat.T @ gflat
         return gx, gw, gflat.sum(axis=0)
     return _make(out, (x, w, b), bwd)
@@ -648,6 +744,7 @@ def conv2d(x, w, b, stride=(1, 1), dilation=(1, 1)):
     pt, pb = pad_h // 2, pad_h - pad_h // 2
     plft, prgt = pad_w // 2, pad_w - pad_w // 2
     xp = np.pad(x.data, ((0, 0), (pt, pb), (plft, prgt), (0, 0)))
+    wd = w.data
 
     def tap(arr, i, j):
         return arr[:, i * dh: i * dh + sh * ho: sh, j * dw: j * dw + sw * wo: sw, :]
@@ -656,18 +753,18 @@ def conv2d(x, w, b, stride=(1, 1), dilation=(1, 1)):
     for i in range(kh):
         for j in range(kw):
             seg = tap(xp, i, j).reshape(-1, cin)
-            out += (seg @ w.data[i, j]).reshape(bsz, ho, wo, cout)
+            out += (seg @ wd[i, j]).reshape(bsz, ho, wo, cout)
     out += b.data
 
     def bwd(g):
         gflat = g.reshape(-1, cout)
         gxp = np.zeros_like(xp)
-        gw = np.empty_like(w.data)
+        gw = np.empty_like(wd)
         for i in range(kh):
             for j in range(kw):
                 seg = tap(xp, i, j).reshape(-1, cin)
                 gw[i, j] = seg.T @ gflat
-                tap(gxp, i, j)[...] += (gflat @ w.data[i, j].T).reshape(bsz, ho, wo, cin)
+                tap(gxp, i, j)[...] += (gflat @ wd[i, j].T).reshape(bsz, ho, wo, cin)
         gx = gxp[:, pt:pt + hh, plft:plft + ww_, :]
         return np.ascontiguousarray(gx), gw, gflat.sum(axis=0)
     return _make(out, (x, w, b), bwd)
@@ -684,18 +781,19 @@ def conv2d_depthwise(x, w, b):
     pt, pb = _same_pad_1d(kh, 1)
     plft, prgt = _same_pad_1d(kw, 1)
     xp = np.pad(x.data, ((0, 0), (pt, pb), (plft, prgt), (0, 0)))
+    wd = w.data
     out = np.zeros_like(x.data)
     for i in range(kh):
         for j in range(kw):
-            out += xp[:, i:i + hh, j:j + ww_, :] * w.data[i, j]
+            out += xp[:, i:i + hh, j:j + ww_, :] * wd[i, j]
     out += b.data
 
     def bwd(g):
         gxp = np.zeros_like(xp)
-        gw = np.empty_like(w.data)
+        gw = np.empty_like(wd)
         for i in range(kh):
             for j in range(kw):
-                gxp[:, i:i + hh, j:j + ww_, :] += g * w.data[i, j]
+                gxp[:, i:i + hh, j:j + ww_, :] += g * wd[i, j]
                 gw[i, j] = (xp[:, i:i + hh, j:j + ww_, :] * g).sum(axis=(0, 1, 2))
         return gxp[:, pt:pt + hh, plft:plft + ww_, :], gw, g.sum(axis=(0, 1, 2))
     return _make(out, (x, w, b), bwd)
@@ -715,24 +813,32 @@ def instance_norm(x, gamma, beta, eps=1e-5):
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(
             f"instance_norm affine shapes {gamma.shape}/{beta.shape} do not match C={c}")
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=1, keepdims=True)
+    d, gd = x.data, gamma.data
+    mu = d.mean(axis=1, keepdims=True)
+    xhat = d - mu
+    var = (xhat ** 2).mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = xhat * gamma.data + beta.data
+    xhat *= inv
+    out = xhat * gd
+    out += beta.data
     del xhat
 
     def bwd(g):
-        # recomputed, not kept: the tape holds x anyway
-        xhat = (x.data - mu) * inv
-        gg = g * gamma.data
+        # recomputed, not kept: the closure holds x anyway
+        xhat = d - mu
+        xhat *= inv
+        gg = g * gd
         m1 = gg.mean(axis=1, keepdims=True)
-        m2 = (gg * xhat).mean(axis=1, keepdims=True)
-        gx = inv * (gg - m1 - xhat * m2)
+        tmp = gg * xhat
+        m2 = tmp.mean(axis=1, keepdims=True)
         ggamma = (g * xhat).sum(axis=(0, 1))
         gbeta = g.sum(axis=(0, 1))
-        return gx.astype(x.dtype, copy=False), ggamma, gbeta
-    return _make(out.astype(x.dtype, copy=False), (x, gamma, beta), bwd)
+        # inv * (gg - m1 - xhat * m2), in gg's buffer
+        gg -= m1
+        gg -= np.multiply(xhat, m2, out=tmp)
+        gg *= inv
+        return gg.astype(d.dtype, copy=False), ggamma, gbeta
+    return _make(out.astype(d.dtype, copy=False), (x, gamma, beta), bwd)
 
 
 # ---------------------------------------------------------------------------

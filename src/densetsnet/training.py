@@ -10,6 +10,9 @@ PCG64 stream whose state rides along in checkpoints.
 from __future__ import annotations
 
 import json
+import resource
+import sys
+import time
 import typing
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -26,6 +29,9 @@ from .model import ModelConfig, build_model
 from .params import ParamStore
 
 CURVE_COLUMNS = ("step", "l_mag_consis", "l_metric", "l_disc", "val_mag_error", "val_quality")
+TIMING_COLUMNS = ("step", "cpu_s", "wall_s", "peak_rss_mb")
+# ru_maxrss counts KiB on Linux and bytes on macOS
+_MAXRSS_PER_MIB = 2**20 if sys.platform == "darwin" else 2**10
 # validation runs on at most this many clips of the validation split
 VALID_CLIPS = 4
 # echoed keys that may differ between a checkpoint and the run resuming it
@@ -302,16 +308,16 @@ def _validate(model, items, stft_cfg, seg, oracle):
     return float(np.mean(errs)), float(np.mean(quals))
 
 
-def _open_curves(curves_path: Path, start_step: int):
-    """Open curves.csv to append the rows after start_step.  A resumed run
-    keeps the rows up to its checkpoint and drops later ones, which it
+def _open_step_log(path: Path, header: list, start_step: int):
+    """Open a per-step CSV to append the rows after start_step.  A resumed
+    run keeps the rows up to its checkpoint and drops later ones, which it
     writes again."""
-    lines = ["# val_quality: built-in proxy oracle (not PESQ)", ",".join(CURVE_COLUMNS)]
-    if start_step and curves_path.exists():
-        lines = [ln for ln in curves_path.read_text().splitlines()
+    lines = header
+    if start_step and path.exists():
+        lines = [ln for ln in path.read_text().splitlines()
                  if not ln[:1].isdigit() or int(ln.split(",", 1)[0]) <= start_step]
-    curves_path.write_text("".join(ln + "\n" for ln in lines))
-    return open(curves_path, "a")
+    path.write_text("".join(ln + "\n" for ln in lines))
+    return open(path, "a")
 
 
 def train(model_cfg: ModelConfig, stft_cfg: StftConfig, train_cfg: TrainConfig,
@@ -356,7 +362,7 @@ def train(model_cfg: ModelConfig, stft_cfg: StftConfig, train_cfg: TrainConfig,
         log(f"validating on {len(valid_items)} of {len(dataset.valid_names)} clips")
 
     curves_path = out_dir / "curves.csv"
-    curves = _open_curves(curves_path, start_step)
+    curves_header = ["# val_quality: built-in proxy oracle (not PESQ)", ",".join(CURVE_COLUMNS)]
 
     losses = []
     checkpoints = []
@@ -376,8 +382,10 @@ def train(model_cfg: ModelConfig, stft_cfg: StftConfig, train_cfg: TrainConfig,
         checkpoints.append(str(path))
         return path
 
-    try:
+    with _open_step_log(curves_path, curves_header, start_step) as curves, \
+            _open_step_log(out_dir / "timing.csv", [",".join(TIMING_COLUMNS)], start_step) as timing:
         for step in range(start_step + 1, train_cfg.max_steps + 1):
+            cpu0, wall0 = time.process_time(), time.perf_counter()
             batch = make_batch(dataset, rng, train_cfg.batch_size, seg, stft_cfg)
             model.store.zero_grad()
             _, enh = model.forward(batch.noisy_mag)
@@ -431,8 +439,9 @@ def train(model_cfg: ModelConfig, stft_cfg: StftConfig, train_cfg: TrainConfig,
 
             if step % train_cfg.checkpoint_every == 0 or step == train_cfg.max_steps:
                 save(step)
-    finally:
-        curves.close()
+            peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / _MAXRSS_PER_MIB
+            timing.write(f"{step},{time.process_time() - cpu0:.6f},"
+                         f"{time.perf_counter() - wall0:.6f},{peak_mb:.1f}\n")
 
     return TrainResult(curves_path=str(curves_path), checkpoints=checkpoints,
                        losses=losses, final_val=final_val, model=model)

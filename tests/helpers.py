@@ -10,6 +10,8 @@ import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from densetsnet.autodiff import Tensor
+
 
 def conv1d_ref(x, w, b, groups=1, dilation=1):
     """Nested-loop grouped 1-D cross-correlation, same-length padding.
@@ -74,8 +76,9 @@ def conv1d_depthwise_grads_ref(x, w, b, g, dilation=1):
     """Depthwise same-padded conv1d and its grads for the cotangent ``g``.
 
     Keeps the padded input from the forward for the backward, the way the
-    plain composition would; the library re-pads in its backward instead.
-    Same expressions in the same order, so agreement is bit for bit.
+    plain composition would; the library builds no padded copy and reads
+    shifted slices of the input instead.  Same products summed in the same
+    order, so agreement is bit for bit.
     Returns (out, gx, gw, gb).
     """
     k, length = w.shape[0], x.shape[1]
@@ -207,3 +210,37 @@ def corrupt_bytes(data, raw):
         else:
             buf[i] = data.draw(st.sampled_from(_JSON_BYTES))
     return bytes(buf)
+
+
+def _closure_tensors(fn, depth=0):
+    """Tensors a backward closure keeps alive, also through the functions
+    and tuples it closes over."""
+    found = []
+    for cell in fn.__closure__ or ():
+        try:
+            items = [cell.cell_contents]
+        except ValueError:  # free variable never bound
+            continue
+        while items:
+            v = items.pop()
+            if isinstance(v, Tensor):
+                found.append(v)
+            elif isinstance(v, (tuple, list)):
+                items.extend(v)
+            elif callable(v) and getattr(v, "__closure__", None) and depth < 3:
+                found.extend(_closure_tensors(v, depth + 1))
+    return found
+
+
+def closure_tensors(root):
+    """Every Tensor held by a backward closure in ``root``'s graph."""
+    found, stack, seen = [], [root], set()
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        if t._backward is not None:
+            found.extend(_closure_tensors(t._backward))
+        stack.extend(t._parents)
+    return found

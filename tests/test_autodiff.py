@@ -8,7 +8,7 @@ import densetsnet.autodiff as ad
 from densetsnet.autodiff import Tensor, backward, grad_check, tensor
 from densetsnet.errors import GraphError, NumericalError, ShapeError
 
-from helpers import (conv1d_depthwise_grads_ref, conv1d_ref, conv2d_ref,
+from helpers import (closure_tensors, conv1d_depthwise_grads_ref, conv1d_ref, conv2d_ref,
                      instance_norm_grads_ref)
 
 N_SEEDS = 100
@@ -150,7 +150,7 @@ def test_conv1d_fft_and_tap_paths_agree():
         pl, _ = ad._same_pad_1d(k, 1)
         xp = np.pad(x, ((0, 0), (pl, (k - 1) - pl), (0, 0)))
         fast = ad._conv1d_dw_fft(Tensor(x), Tensor(w), Tensor(b), xp, length, pl).data
-        slow = ad._conv1d_dw_taps(Tensor(x), Tensor(w), Tensor(b), xp, length, pl, 1).data
+        slow = ad._conv1d_dw_taps(Tensor(x), Tensor(w), Tensor(b), pl, 1).data
         assert np.max(np.abs(fast - slow)) < 1e-10
 
 
@@ -533,6 +533,64 @@ def test_no_grad_restores_recording_after_exception():
     assert ad.square(x).requires_grad
 
 
+def test_result_no_closure_reads_is_freed_when_dropped():
+    """The tape holds what closures read, not every result: ``add`` reads
+    only shapes, so once the caller drops the conv output its array is gone,
+    while the record stays for backward."""
+    import weakref
+    rng = np.random.default_rng(40)
+    arrays = rng.standard_normal((2, 5, 3)), rng.standard_normal((1, 3, 3)), rng.standard_normal(3)
+    grads = []
+    for drop in (False, True):
+        x, w, b = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+        y = ad.conv1d(x, w, b)
+        z = ad.add(x, y)
+        alive = weakref.ref(y.data)
+        if drop:
+            del y
+            assert alive() is None
+            assert z._parents[1].data.size == 0
+        backward(ad.sum_all(ad.square(z)))
+        grads.append([t.grad for t in (x, w, b)])
+    for kept, dropped in zip(*grads):
+        np.testing.assert_array_equal(kept, dropped)
+
+
+def test_parent_links_expose_data_backward_and_parents():
+    """What a graph walker reads: an op result's ``_backward`` can be read
+    and replaced, and ``backward`` calls the replacement; every item reached
+    through ``_parents`` has ``data``, ``_backward`` and ``_parents``, a
+    leaf parent is the leaf itself, and a result the caller dropped reads
+    as an empty array."""
+    x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    c = Tensor(np.array([0.5, 0.5, 0.5]))
+    h = ad.square(x)
+    y = ad.sum_all(ad.scale(ad.mul(h, c), 3.0))
+    inner, calls = y._backward, []
+
+    def spy(g):
+        calls.append(float(g))
+        return inner(g)
+    y._backward = spy
+    assert y._backward is spy
+
+    stack, seen = list(y._parents), []
+    while stack:
+        t = stack.pop()
+        assert isinstance(t.data, np.ndarray)
+        assert t._backward is None or callable(t._backward)
+        assert isinstance(t._parents, tuple)
+        seen.append(t)
+        stack.extend(t._parents)
+    assert any(t._parents == (x,) and np.array_equal(t.data, h.data) for t in seen)
+    assert any(t is x for t in seen)
+    assert any(t._backward is not None and t.data.size == 0 for t in seen)  # mul(h, c)
+
+    backward(y)
+    assert calls == [1.0]
+    np.testing.assert_array_equal(x.grad, 3.0 * (2.0 * x.data * 0.5))
+
+
 def test_grad_check_rejects_non_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(GraphError):
@@ -623,3 +681,18 @@ def test_float32_inputs_give_float32_values_and_grads(name):
         results[dtype] = [out.data] + [t.grad for t in leaves]
     for got, want in zip(results[np.float32], results[np.float64]):
         np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-4 * np.abs(want).max())
+
+
+# ---------------------------------------------------------------------------
+# the tape holds arrays, not tensors
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(_F32_CASES))
+def test_no_closure_keeps_a_tensor(name):
+    """Closures bind arrays, shapes and dtypes, so the tape never keeps a
+    Tensor, and with it a result no backward reads, alive."""
+    rng = np.random.default_rng(41)
+    out, _ = _F32_CASES[name](lambda *shape: Tensor(rng.standard_normal(shape),
+                                                    requires_grad=True))
+    assert out._backward is not None
+    assert closure_tensors(out) == []

@@ -11,6 +11,8 @@ from densetsnet.errors import ConfigError, DataError, ShapeError
 from densetsnet.model import (RESIDUAL_GAIN, ClassicTsNet, DenseTsNet,
                               ModelConfig, ablate, build_model)
 
+from helpers import closure_tensors
+
 SCFG = StftConfig()
 F_BINS = SCFG.n_bins  # 201
 
@@ -307,3 +309,19 @@ def test_float32_forward_records_only_float32_nodes(cfg, stft_cfg, monkeypatch):
     assert mask.dtype == enhanced.dtype == np.float32
     assert len(dtypes) > 100
     assert set(dtypes) == {np.dtype(np.float32)}
+
+
+@pytest.mark.parametrize("variant", ["dense_ts", "classic_ts"])
+def test_training_graph_closures_keep_no_tensor(variant):
+    """Over a whole training loss, with dsp's synthesis and analysis in the
+    graph, every closure binds arrays and no Tensor, so the tape keeps no
+    result alive that no backward reads."""
+    from densetsnet.dsp import consistency_project, stft
+    from densetsnet.losses import mag_mse
+
+    model = build_model(ModelConfig(variant=variant), SCFG, seed=2)
+    spec = stft(Tensor(np.random.default_rng(5).standard_normal((1, 4000)) * 0.1), SCFG)
+    _, enh = model.forward(spec.mag)
+    loss = mag_mse(spec.mag, consistency_project(enh, spec.phase, SCFG, 4000))
+    assert loss.requires_grad
+    assert closure_tensors(loss) == []

@@ -446,12 +446,11 @@ def test_float32_enhance_memory_is_half_the_float64_maps():
     assert peak <= 5.5 * widest, f"peak {peak / widest:.1f} x the widest float64 map"
 
 
-def test_training_step_memory_is_one_tape():
-    """Backward frees the graph as it walks it and writes grads only on the
-    leaves, so a training step peaks at about one tape and leaves none of it
-    behind (in widest maps, B*T*F*depth*dense_channel float64s).  Keeping
-    every interior grad and the whole graph alive until the next step took
-    about 222 maps at the peak and 221 after the step."""
+@pytest.fixture(scope="module")
+def traced_training_step():
+    """Traced (peak, held) of the second of two training steps of the
+    default model on 1 x 1 s, in widest maps (B*T*F*depth*dense_channel
+    float64s); the step holds its last loss, as a training loop does."""
     import tracemalloc
     from densetsnet.autodiff import backward
     from densetsnet.dsp import consistency_project, stft
@@ -480,13 +479,31 @@ def test_training_step_memory_is_one_tape():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        loss = step()  # held, as a training loop holds its last loss
+        loss = step()
         held, peak = (m - base for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
     assert np.isfinite(loss.data)
-    assert peak <= 105 * widest, f"peak {peak / widest:.1f} x the widest map"
-    assert held <= 1 * widest, f"{held / widest:.2f} widest maps held after the step"
+    return peak / widest, held / widest
+
+
+def test_training_step_memory_is_one_tape(traced_training_step):
+    """Backward frees the graph as it walks it and writes grads only on the
+    leaves, so a training step peaks at about one tape and leaves none of it
+    behind.  Keeping every interior grad and the whole graph alive until the
+    next step took about 222 maps at the peak and 221 after the step."""
+    peak, held = traced_training_step
+    assert peak <= 105, f"peak {peak:.1f} x the widest map"
+    assert held <= 1, f"{held:.2f} widest maps held after the step"
+
+
+def test_training_step_tape_holds_only_what_backward_reads(traced_training_step):
+    """The graph links to results through records, not tensors, so a map
+    that no closure reads is freed as soon as the forward drops it, and
+    learnable_sigmoid at beta 1 saves one sigmoid, not a copy next to it.
+    Links that kept every result alive peaked at 97.9 maps."""
+    peak, _ = traced_training_step
+    assert peak <= 80, f"peak {peak:.1f} x the widest map"
 
 
 # ---------------------------------------------------------------------------
@@ -611,6 +628,27 @@ def test_train_resume_does_not_duplicate_curve_rows(dataset, tmp_path):
     assert text[0].startswith("#") and text[1] == ",".join(CURVE_COLUMNS)
     rows = read_curves_csv(tmp_path / "curves.csv")
     assert [r["step"] for r in rows] == ["1", "2", "3", "4"]
+
+
+def test_train_writes_step_timing_and_resume_keeps_earlier_rows(dataset, tmp_path):
+    """timing.csv has one row per step with CPU and wall seconds and the
+    peak RSS so far; a resumed run keeps the rows up to its checkpoint, as
+    it does in curves.csv, and curves.csv keeps its columns."""
+    cfg = _tiny_train_cfg(max_steps=4, eval_every=2, checkpoint_every=2)
+    train(TINY_MODEL, StftConfig(), cfg, dataset, tmp_path)
+    first = (tmp_path / "timing.csv").read_text().splitlines()
+    assert first[0] == ",".join(training.TIMING_COLUMNS) == "step,cpu_s,wall_s,peak_rss_mb"
+    assert [ln.split(",")[0] for ln in first[1:]] == ["1", "2", "3", "4"]
+    for ln in first[1:]:
+        _, cpu_s, wall_s, peak_mb = map(float, ln.split(","))
+        assert cpu_s > 0 and wall_s > 0 and peak_mb > 10
+
+    train(TINY_MODEL, StftConfig(), cfg, dataset, tmp_path,
+          resume=tmp_path / "ckpt_step2.dtsn")
+    again = (tmp_path / "timing.csv").read_text().splitlines()
+    assert again[:3] == first[:3]
+    assert [ln.split(",")[0] for ln in again[1:]] == ["1", "2", "3", "4"]
+    assert (tmp_path / "curves.csv").read_text().splitlines()[1] == ",".join(CURVE_COLUMNS)
 
 
 def test_train_logs_validation_clip_count(dataset, tmp_path):

@@ -310,9 +310,14 @@ def sub(a, b):
 
 def mul(a, b):
     da, db = a.data, b.data
+    sa, sb = da.shape, db.shape
+    # each grad reads the other operand: bind it only if that grad is wanted
+    ka = db if a.requires_grad else None
+    kb = da if b.requires_grad else None
 
     def bwd(g):
-        return _unbroadcast(g * db, da.shape), _unbroadcast(g * da, db.shape)
+        return (None if ka is None else _unbroadcast(g * ka, sa),
+                None if kb is None else _unbroadcast(g * kb, sb))
     return _make(da * db, (a, b), bwd)
 
 

@@ -63,30 +63,8 @@ def ablate(cfg: ModelConfig, drop: str) -> ModelConfig:
 
 
 @dataclass
-class ConvDesc:
-    """Book-keeping for one linear map, enough to price its MACs later.
-
-    where: 'tf' runs once per (t, f) cell; 'pool_t' runs once per frequency
-    row (after pooling over time), 'pool_f' once per time row.
-    """
-    name: str
-    cin: int
-    cout: int
-    k: int
-    groups: int
-    where: str
-
-    def macs(self, t: int, f: int) -> int:
-        pos = {"tf": t * f, "pool_t": f, "pool_f": t}[self.where]
-        return pos * self.cout * self.k * (self.cin // self.groups)
-
-
-@dataclass
 class MvgbParams:
     c: int
-    lke_kernel: int
-    lsg_kernel: int
-    drop: tuple
     norm_g: Tensor
     norm_b: Tensor
     lke: dict = field(default_factory=dict)
@@ -96,10 +74,9 @@ class MvgbParams:
     fuse_b: Tensor = None
 
 
-def build_mvgb(store: ParamStore, descs: list, path: str, c: int,
-               cfg: ModelConfig, pooled: str) -> MvgbParams:
+def build_mvgb(store: ParamStore, path: str, c: int, cfg: ModelConfig) -> MvgbParams:
     p = MvgbParams(
-        c=c, lke_kernel=cfg.lke_kernel, lsg_kernel=cfg.lsg_kernel, drop=cfg.drop,
+        c=c,
         norm_g=store.ones(f"{path}/norm_g", (c,)),
         norm_b=store.zeros(f"{path}/norm_b", (c,)),
     )
@@ -114,15 +91,11 @@ def build_mvgb(store: ParamStore, descs: list, path: str, c: int,
             "pw_out_w": store.uniform_fan_in(f"{path}/lke_pw_out/w", (1, c, c), c),
             "pw_out_b": store.zeros(f"{path}/lke_pw_out/b", (c,)),
         }
-        descs.append(ConvDesc(f"{path}/lke_pw_in", c, 2 * c, 1, 1, "tf"))
-        descs.append(ConvDesc(f"{path}/lke_dw", c, c, cfg.lke_kernel, c, "tf"))
-        descs.append(ConvDesc(f"{path}/lke_pw_out", c, c, 1, 1, "tf"))
     if "ca" not in cfg.drop:
         p.ca = {
             "w": store.uniform_fan_in(f"{path}/ca/w", (1, c, c), c),
             "b": store.zeros(f"{path}/ca/b", (c,)),
         }
-        descs.append(ConvDesc(f"{path}/ca", c, c, 1, 1, pooled))
     if "lsg" not in cfg.drop:
         p.lsg = {
             "dw_w": store.uniform_fan_in(f"{path}/lsg_dw/w", (cfg.lsg_kernel, 1, c), cfg.lsg_kernel),
@@ -131,11 +104,8 @@ def build_mvgb(store: ParamStore, descs: list, path: str, c: int,
             "pw_b": store.zeros(f"{path}/lsg_pw/b", (c,)),
             "alpha": store.ones(f"{path}/lsg_alpha", (c,)),
         }
-        descs.append(ConvDesc(f"{path}/lsg_dw", c, c, cfg.lsg_kernel, c, "tf"))
-        descs.append(ConvDesc(f"{path}/lsg_pw", c, c, 1, 1, "tf"))
     p.fuse_w = store.uniform_fan_in(f"{path}/fuse/w", (1, c, c), c)
     p.fuse_b = store.zeros(f"{path}/fuse/b", (c,))
-    descs.append(ConvDesc(f"{path}/fuse", c, c, 1, 1, "tf"))
     return p
 
 
@@ -187,6 +157,69 @@ def instance_norm_2d(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return ad.reshape(ad.instance_norm(flat, gamma, beta), (b, t, f, c))
 
 
+class _MaskNet:
+    """What both masking nets share: the parameter store, a 1 -> c lift of
+    the compressed magnitude, a c -> 1 mask head with a per-bin learnable
+    sigmoid, and the size accounting.
+
+    A subclass names the ``VARIANT`` it builds and the config field of its
+    ``WIDTH`` c.  ``_build(c)`` registers the body's parameters, between the
+    lift and the head, and ``_body`` maps lifted (B, T, F, c) features to
+    the head's input plus a dict of inner maps for ``forward(parts=True)``.
+    """
+
+    VARIANT = WIDTH = ""
+
+    def __init__(self, cfg: ModelConfig, stft_cfg: StftConfig, seed: int = 0):
+        if cfg.variant != self.VARIANT:
+            raise ConfigError(f"{type(self).__name__} built with variant {cfg.variant!r}")
+        self.cfg = cfg
+        self.stft_cfg = stft_cfg
+        self.store = ParamStore(rng=np.random.default_rng(seed))
+        c = getattr(cfg, self.WIDTH)
+        self.lift_w = self.store.uniform_fan_in("lift/w", (1, c), 1)
+        self.lift_b = self.store.zeros("lift/b", (c,))
+        self._build(c)
+        self.mask_w = self.store.uniform_fan_in("head/mask/w", (c, 1), c)
+        self.mask_b = self.store.zeros("head/mask/b", (1,))
+        self.mask_alpha = self.store.ones("head/alpha", (stft_cfg.n_bins,))
+
+    def forward(self, noisy_mag: Tensor, parts: bool = False):
+        """(B, T, F) magnitudes -> (mask, enhanced); mask in (0, mask_beta)."""
+        if noisy_mag.ndim != 3:
+            raise ShapeError(f"expected (B, T, F) magnitudes, got rank {noisy_mag.ndim}")
+        if np.any(noisy_mag.data < 0):
+            raise DataError("negative magnitudes in model input")
+        b, t, f = noisy_mag.shape
+        feat = power_compress(noisy_mag, self.stft_cfg.compression)
+        x4 = ad.reshape(feat, (b, t, f, 1))
+        h, inner = self._body(ad.conv2d_pointwise(x4, self.lift_w, self.lift_b))
+        head = ad.reshape(ad.conv2d_pointwise(h, self.mask_w, self.mask_b), (b, t, f))
+        mask = ad.learnable_sigmoid(head, self.mask_alpha, beta=self.cfg.mask_beta)
+        enhanced = ad.mul(mask, noisy_mag)
+        if parts:
+            return mask, enhanced, inner
+        return mask, enhanced
+
+    def count_params(self) -> int:
+        return self.store.count()
+
+    def count_macs(self, t: int = 321, f: int = 201) -> int:
+        return sum(m for _, _, m in self.layer_table(t, f))
+
+    def layer_table(self, t: int = 321, f: int = 201):
+        """Rows of (group, params, macs); groups partition every parameter.
+        Each weight ``.../w`` is one linear map doing one MAC per weight
+        entry at every position it runs at (``_positions``)."""
+        rows: dict[str, list] = {}
+        for name, tns in self.store.items():
+            row = rows.setdefault(_group_of(name), [0, 0])
+            row[0] += tns.size
+            if name.endswith("/w"):
+                row[1] += tns.size * _positions(name, t, f)
+        return [(g, p, m) for g, (p, m) in rows.items()]
+
+
 class _TsLayer:
     __slots__ = ("index", "cin", "p_time", "p_freq", "adjust_w", "adjust_b",
                  "adjust_dw_w", "adjust_dw_b")
@@ -198,43 +231,25 @@ class _TsLayer:
         self.adjust_dw_b = None
 
 
-class DenseTsNet:
+class DenseTsNet(_MaskNet):
     """Masking model with densely concatenated two-stage layers."""
 
-    def __init__(self, cfg: ModelConfig, stft_cfg: StftConfig, seed: int = 0):
-        if cfg.variant != "dense_ts":
-            raise ConfigError(f"DenseTsNet built with variant {cfg.variant!r}")
-        self.cfg = cfg
-        self.stft_cfg = stft_cfg
-        self.store = ParamStore(rng=np.random.default_rng(seed))
-        self.descs: list[ConvDesc] = []
-        c = cfg.dense_channel
-        f_bins = stft_cfg.n_bins
+    VARIANT, WIDTH = "dense_ts", "dense_channel"
 
-        self.lift_w = self.store.uniform_fan_in("lift/w", (1, c), 1)
-        self.lift_b = self.store.zeros("lift/b", (c,))
-        self.descs.append(ConvDesc("lift", 1, c, 1, 1, "tf"))
-
+    def _build(self, c):
         self.layers: list[_TsLayer] = []
-        for i in range(1, cfg.depth + 1):
+        for i in range(1, self.cfg.depth + 1):
             cin = c * i
             lay = _TsLayer(i, cin)
             base = f"trunk/blk{i}"
-            lay.p_time = build_mvgb(self.store, self.descs, f"{base}/time", cin, cfg, "pool_t")
-            lay.p_freq = build_mvgb(self.store, self.descs, f"{base}/freq", cin, cfg, "pool_f")
+            lay.p_time = build_mvgb(self.store, f"{base}/time", cin, self.cfg)
+            lay.p_freq = build_mvgb(self.store, f"{base}/freq", cin, self.cfg)
             lay.adjust_w = self.store.uniform_fan_in(f"{base}/adjust/w", (cin, c), cin)
             lay.adjust_b = self.store.zeros(f"{base}/adjust/b", (c,))
-            self.descs.append(ConvDesc(f"{base}/adjust", cin, c, 1, 1, "tf"))
-            if cfg.adjust_depthwise:
+            if self.cfg.adjust_depthwise:
                 lay.adjust_dw_w = self.store.uniform_fan_in(f"{base}/adjust_dw/w", (3, 3, c), 9)
                 lay.adjust_dw_b = self.store.zeros(f"{base}/adjust_dw/b", (c,))
-                self.descs.append(ConvDesc(f"{base}/adjust_dw", c, c, 9, c, "tf"))
             self.layers.append(lay)
-
-        self.mask_w = self.store.uniform_fan_in("head/mask/w", (c, 1), c)
-        self.mask_b = self.store.zeros("head/mask/b", (1,))
-        self.descs.append(ConvDesc("head/mask", c, 1, 1, 1, "tf"))
-        self.mask_alpha = self.store.ones("head/alpha", (f_bins,))
 
     @property
     def layer_in_channels(self) -> list[int]:
@@ -246,9 +261,9 @@ class DenseTsNet:
             a = ad.conv2d_depthwise(a, lay.adjust_dw_w, lay.adjust_dw_b)
         return a
 
-    def trunk_forward(self, x: Tensor):
-        """Dense recursion on lifted features; returns (out, last_adjusted)."""
-        c = self.cfg.dense_channel
+    def _body(self, x: Tensor):
+        """Dense recursion on lifted features, plus the residual on the
+        last adjusted branch."""
         skip = x
         a = None
         for lay in self.layers:
@@ -259,37 +274,10 @@ class DenseTsNet:
             a = self._adjust(lay, h)
             skip = ad.concat_last([a, skip])
         out = ad.add(ad.scale(a, RESIDUAL_GAIN), x)
-        return out, a
-
-    def forward(self, noisy_mag: Tensor, parts: bool = False):
-        """(B, T, F) magnitudes -> (mask, enhanced); mask in (0, mask_beta)."""
-        if noisy_mag.ndim != 3:
-            raise ShapeError(f"expected (B, T, F) magnitudes, got rank {noisy_mag.ndim}")
-        if np.any(noisy_mag.data < 0):
-            raise DataError("negative magnitudes in model input")
-        b, t, f = noisy_mag.shape
-        feat = power_compress(noisy_mag, self.stft_cfg.compression)
-        x4 = ad.reshape(feat, (b, t, f, 1))
-        lifted = ad.conv2d_pointwise(x4, self.lift_w, self.lift_b)
-        trunk, a_last = self.trunk_forward(lifted)
-        head = ad.reshape(ad.conv2d_pointwise(trunk, self.mask_w, self.mask_b), (b, t, f))
-        mask = ad.learnable_sigmoid(head, self.mask_alpha, beta=self.cfg.mask_beta)
-        enhanced = ad.mul(mask, noisy_mag)
-        if parts:
-            return mask, enhanced, {"lifted": lifted, "trunk": trunk, "a_last": a_last}
-        return mask, enhanced
-
-    def count_params(self) -> int:
-        return self.store.count()
-
-    def count_macs(self, t: int = 321, f: int = 201) -> int:
-        return sum(d.macs(t, f) for d in self.descs)
-
-    def layer_table(self, t: int = 321, f: int = 201):
-        return _layer_table(self.store, self.descs, t, f)
+        return out, {"lifted": x, "trunk": out, "a_last": a}
 
 
-def _dense_block(store, descs, path, c, dilations):
+def _dense_block(store, path, c, dilations):
     """DenseNet-style stack of dilated 3x3 convs at constant output width."""
     layers = []
     for j, d in enumerate(dilations, start=1):
@@ -298,7 +286,6 @@ def _dense_block(store, descs, path, c, dilations):
         b = store.zeros(f"{path}/conv{j}/b", (c,))
         g = store.ones(f"{path}/conv{j}/norm_g", (c,))
         be = store.zeros(f"{path}/conv{j}/norm_b", (c,))
-        descs.append(ConvDesc(f"{path}/conv{j}", cin, c, 9, 1, "tf"))
         layers.append((w, b, g, be, d))
     return layers
 
@@ -314,65 +301,28 @@ def _dense_block_forward(x: Tensor, layers) -> Tensor:
     return out
 
 
-class ClassicTsNet:
+class ClassicTsNet(_MaskNet):
     """Serial baseline: dense encoder, four two-stage blocks, dense decoder."""
 
+    VARIANT, WIDTH = "classic_ts", "classic_channel"
     N_TS = 4
     DILATIONS = (1, 2, 4, 8)
 
-    def __init__(self, cfg: ModelConfig, stft_cfg: StftConfig, seed: int = 0):
-        if cfg.variant != "classic_ts":
-            raise ConfigError(f"ClassicTsNet built with variant {cfg.variant!r}")
-        self.cfg = cfg
-        self.stft_cfg = stft_cfg
-        self.store = ParamStore(rng=np.random.default_rng(seed))
-        self.descs: list[ConvDesc] = []
-        c = cfg.classic_channel
-        f_bins = stft_cfg.n_bins
-
-        self.lift_w = self.store.uniform_fan_in("lift/w", (1, c), 1)
-        self.lift_b = self.store.zeros("lift/b", (c,))
-        self.descs.append(ConvDesc("lift", 1, c, 1, 1, "tf"))
-        self.enc = _dense_block(self.store, self.descs, "enc", c, self.DILATIONS)
+    def _build(self, c):
+        self.enc = _dense_block(self.store, "enc", c, self.DILATIONS)
         self.ts = []
         for k in range(1, self.N_TS + 1):
-            pt = build_mvgb(self.store, self.descs, f"ts{k}/time", c, cfg, "pool_t")
-            pf = build_mvgb(self.store, self.descs, f"ts{k}/freq", c, cfg, "pool_f")
+            pt = build_mvgb(self.store, f"ts{k}/time", c, self.cfg)
+            pf = build_mvgb(self.store, f"ts{k}/freq", c, self.cfg)
             self.ts.append((pt, pf))
-        self.dec = _dense_block(self.store, self.descs, "dec", c, self.DILATIONS)
-        self.mask_w = self.store.uniform_fan_in("head/mask/w", (c, 1), c)
-        self.mask_b = self.store.zeros("head/mask/b", (1,))
-        self.descs.append(ConvDesc("head/mask", c, 1, 1, 1, "tf"))
-        self.mask_alpha = self.store.ones("head/alpha", (f_bins,))
+        self.dec = _dense_block(self.store, "dec", c, self.DILATIONS)
 
-    def forward(self, noisy_mag: Tensor, parts: bool = False):
-        if noisy_mag.ndim != 3:
-            raise ShapeError(f"expected (B, T, F) magnitudes, got rank {noisy_mag.ndim}")
-        if np.any(noisy_mag.data < 0):
-            raise DataError("negative magnitudes in model input")
-        b, t, f = noisy_mag.shape
-        feat = power_compress(noisy_mag, self.stft_cfg.compression)
-        x4 = ad.reshape(feat, (b, t, f, 1))
-        h = ad.conv2d_pointwise(x4, self.lift_w, self.lift_b)
+    def _body(self, h: Tensor):
         h = _dense_block_forward(h, self.enc)
         for pt, pf in self.ts:
             h = ts_mvgb_forward(h, pt, pf)
         h = _dense_block_forward(h, self.dec)
-        head = ad.reshape(ad.conv2d_pointwise(h, self.mask_w, self.mask_b), (b, t, f))
-        mask = ad.learnable_sigmoid(head, self.mask_alpha, beta=self.cfg.mask_beta)
-        enhanced = ad.mul(mask, noisy_mag)
-        if parts:
-            return mask, enhanced, {"final": h}
-        return mask, enhanced
-
-    def count_params(self) -> int:
-        return self.store.count()
-
-    def count_macs(self, t: int = 321, f: int = 201) -> int:
-        return sum(d.macs(t, f) for d in self.descs)
-
-    def layer_table(self, t: int = 321, f: int = 201):
-        return _layer_table(self.store, self.descs, t, f)
+        return h, {"final": h}
 
 
 def build_model(cfg: ModelConfig, stft_cfg: StftConfig, seed: int = 0):
@@ -388,13 +338,10 @@ def _group_of(name: str) -> str:
     return parts[0]
 
 
-def _layer_table(store: ParamStore, descs, t: int, f: int):
-    """Rows of (group, params, macs); groups partition every parameter."""
-    rows: dict[str, list] = {}
-    for name, tns in store.items():
-        g = _group_of(name)
-        rows.setdefault(g, [0, 0])[0] += tns.size
-    for d in descs:
-        g = _group_of(d.name)
-        rows.setdefault(g, [0, 0])[1] += d.macs(t, f)
-    return [(g, p, m) for g, (p, m) in rows.items()]
+def _positions(name: str, t: int, f: int) -> int:
+    """How often the linear map with weight ``name`` runs on a T x F map."""
+    if name.endswith("/time/ca/w"):
+        return f  # channel attention pooled over time: once per frequency row
+    if name.endswith("/freq/ca/w"):
+        return t  # pooled over frequency: once per time row
+    return t * f

@@ -696,3 +696,22 @@ def test_no_closure_keeps_a_tensor(name):
                                                     requires_grad=True))
     assert out._backward is not None
     assert closure_tensors(out) == []
+
+
+@pytest.mark.parametrize("taped", [0, 1])
+def test_mul_binds_only_what_the_taped_operands_grad_reads(taped):
+    """With one operand off the tape, mul keeps only that constant: the taped
+    operand's grad reads it, and no grad is built for the constant.  The
+    model's last op, mul(mask, noisy_mag), then keeps no mask map."""
+    rng = np.random.default_rng(43)
+    x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+    c = Tensor(rng.standard_normal((2, 1, 4)))
+    ops = (x, c) if taped == 0 else (c, x)
+    out = ad.mul(*ops)
+    cells = [cell.cell_contents for cell in out._backward.__closure__]
+    assert not any(v is x.data for v in cells)
+    assert any(v is c.data for v in cells)
+    g = rng.standard_normal(out.shape)
+    grads = out._backward(g)
+    assert grads[1 - taped] is None
+    assert np.array_equal(grads[taped], g * c.data)

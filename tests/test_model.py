@@ -17,8 +17,8 @@ SCFG = StftConfig()
 F_BINS = SCFG.n_bins  # 201
 
 
-# Parameter/MAC accounting re-derived from the architecture, kept separate
-# from the library's ConvDesc bookkeeping on purpose.
+# Parameter/MAC accounting re-derived from the architecture by hand, so it
+# checks the library's count from the parameter store instead of repeating it.
 
 def mvgb_params(c, lke_k=31, lsg_k=3, drop=()):
     total = 2 * c                                   # entry norm
@@ -45,6 +45,19 @@ def dense_params(c, depth, f_bins=F_BINS, drop=()):
     return total
 
 
+def dense_block_params(c, n=4):
+    # conv j sees c * j channels: 3x3 weight, bias, norm gain and shift
+    return sum(9 * c * j * c + 3 * c for j in range(1, n + 1))
+
+
+def classic_params(c, f_bins=F_BINS, drop=()):
+    total = c + c                                   # lift
+    total += 2 * dense_block_params(c)              # encoder + decoder
+    total += 4 * 2 * mvgb_params(c, drop=drop)      # four two-stage blocks
+    total += c + 1 + f_bins                         # mask head + alpha
+    return total
+
+
 def mvgb_macs(c, t, f, pooled_pos, lke_k=31, lsg_k=3, drop=()):
     tf = t * f
     total = 0
@@ -58,13 +71,26 @@ def mvgb_macs(c, t, f, pooled_pos, lke_k=31, lsg_k=3, drop=()):
     return total
 
 
-def dense_macs(c, depth, t, f, drop=()):
+def dense_macs(c, depth, t, f, drop=(), adjust_depthwise=False):
     total = t * f * c                               # lift
     for i in range(1, depth + 1):
         ci = c * i
         total += mvgb_macs(ci, t, f, pooled_pos=f, drop=drop)   # time view
         total += mvgb_macs(ci, t, f, pooled_pos=t, drop=drop)   # frequency view
         total += t * f * c * ci                     # adjust
+        if adjust_depthwise:
+            total += t * f * c * 9                  # 3x3 per-channel stencil
+    total += t * f * c                              # mask head
+    return total
+
+
+def classic_macs(c, t, f, drop=()):
+    total = t * f * c                               # lift
+    block = sum(t * f * 9 * c * j * c for j in range(1, 5))
+    total += 2 * block                              # encoder + decoder
+    for _ in range(4):
+        total += mvgb_macs(c, t, f, pooled_pos=f, drop=drop)
+        total += mvgb_macs(c, t, f, pooled_pos=t, drop=drop)
     total += t * f * c                              # mask head
     return total
 
@@ -100,10 +126,32 @@ def test_default_macs_golden():
     assert model.count_macs(t=t, f=F_BINS) == dense_macs(4, 4, t, F_BINS)
 
 
+DROP_SETS = [(), ("lke",), ("ca",), ("lsg",), ("ca", "lke", "lsg")]
+
+
 def test_macs_law_sweep():
     for c, depth, t in [(2, 2, 50), (4, 4, 321), (3, 5, 100)]:
-        model = DenseTsNet(ModelConfig(dense_channel=c, depth=depth), SCFG)
-        assert model.count_macs(t=t, f=F_BINS) == dense_macs(c, depth, t, F_BINS), (c, depth)
+        for drop in DROP_SETS:
+            for adw in (False, True):
+                cfg = ModelConfig(dense_channel=c, depth=depth, drop=drop, adjust_depthwise=adw)
+                model = DenseTsNet(cfg, SCFG)
+                for tt, f in [(t, F_BINS), (7, 33)]:
+                    want = dense_macs(c, depth, tt, f, drop=drop, adjust_depthwise=adw)
+                    assert model.count_macs(t=tt, f=f) == want, (c, depth, drop, adw, tt, f)
+
+
+def test_classic_golden_and_law_sweep():
+    model = ClassicTsNet(ModelConfig(variant="classic_ts"), SCFG)
+    assert model.count_params() == 10_828 == classic_params(6)
+    assert model.count_macs(t=321, f=F_BINS) == 617_154_012 == classic_macs(6, 321, F_BINS)
+    for c in (1, 3, 6):
+        for drop in DROP_SETS:
+            model = ClassicTsNet(ModelConfig(variant="classic_ts", classic_channel=c,
+                                             drop=drop), SCFG)
+            assert model.count_params() == classic_params(c, drop=drop), (c, drop)
+            for t, f in [(321, F_BINS), (50, F_BINS), (7, 33)]:
+                want = classic_macs(c, t, f, drop=drop)
+                assert model.count_macs(t=t, f=f) == want, (c, drop, t, f)
 
 
 def test_layer_in_channels_growth():

@@ -11,6 +11,22 @@ bind the arrays, shapes and dtypes they read, never a Tensor, and recompute
 cheap intermediates (a normalized input, a shifted slice) rather than hold
 them for the life of the tape.
 
+Three fused ops stand for compositions of the gaze block and match them
+bit for bit, values and grads, with the same operations in the same order;
+each keeps less on the tape, after Chen et al. 2016 ("Training Deep Nets
+with Sublinear Memory Cost") and Rota Bulo et al. 2018 ("In-Place Activated
+BatchNorm"):
+
+- ``norm_pointwise_gate`` is ``simple_gate(conv1d(instance_norm(...)))``
+  for a kernel-1 conv.  It keeps only the normalized input ``xhat`` (and
+  the per-channel ``1/std``); backward recomputes the affine output and
+  the 1x1 product.
+- ``norm_hardswish`` is ``hardswish(instance_norm(...))``.  It keeps only
+  ``xhat``, as ``instance_norm`` itself does.
+- ``gated_product(x, ch, sp)`` is ``mul(mul(x, ch), sp)``.  It keeps its
+  operands, which the ops that made them hold already, and recomputes
+  ``x * ch``.
+
 ``backward`` walks the records once in reverse topological order and
 consumes them as it goes: each record drops its parents and its closure as
 soon as the closure has run, so the tape is freed while the gradients flow
@@ -42,10 +58,11 @@ from .errors import GraphError, NumericalError, ShapeError
 __all__ = [
     "Tensor", "tensor", "constant", "backward", "grad_check", "no_grad",
     "add", "sub", "mul", "scale", "mul_const", "square", "sigmoid",
-    "hardswish", "simple_gate", "learnable_sigmoid", "channel_scale",
+    "hardswish", "simple_gate", "learnable_sigmoid", "channel_scale", "gated_product",
     "reshape", "transpose", "concat_last", "split_last", "slice_last",
     "mean", "mean_all", "sum_all", "complex_magnitude",
     "conv1d", "conv2d_pointwise", "conv2d", "conv2d_depthwise", "instance_norm",
+    "norm_hardswish", "norm_pointwise_gate",
 ]
 
 
@@ -184,10 +201,15 @@ class _Record:
 _NO_GRAD = Tensor(_GONE)
 
 
+def _records(*parents):
+    """Whether an op over ``parents`` records a node (see ``_make``)."""
+    return _recording and any(p.requires_grad for p in parents)
+
+
 def _make(data, parents, backward_fn):
     """Internal node constructor; prunes the graph below non-grad inputs and
     records nothing under ``no_grad``."""
-    if _recording and any(p.requires_grad for p in parents):
+    if _records(*parents):
         out = Tensor(data, requires_grad=True)
         links = tuple((p._node or p) if p.requires_grad else _NO_GRAD for p in parents)
         out._node = _Record(out, links, backward_fn)
@@ -321,6 +343,35 @@ def mul(a, b):
     return _make(da * db, (a, b), bwd)
 
 
+def gated_product(x, ch, sp):
+    """``mul(mul(x, ch), sp)`` as one node, bit for bit.
+
+    The closure keeps the operands the wanted grads read, which the ops
+    that made them keep anyway, and recomputes ``x * ch`` where the
+    composed ops keep it.
+    """
+    dx, dc, ds = x.data, ch.data, sp.data
+    sx, sc, ss = dx.shape, dc.shape, ds.shape
+    st = np.broadcast_shapes(sx, sc)
+    out = dx * dc * ds
+    # as in mul: bind each operand only if a wanted grad reads it
+    want_x, want_c, want_s = x.requires_grad, ch.requires_grad, sp.requires_grad
+    kx = dx if want_c or want_s else None
+    kc = dc if want_x or want_s else None
+    ks = ds if want_x or want_c else None
+
+    def bwd(g):
+        gx = gc = gs = None
+        if want_x or want_c:
+            gt = _unbroadcast(g * ks, st)
+            gx = _unbroadcast(gt * kc, sx) if want_x else None
+            gc = _unbroadcast(gt * kx, sc) if want_c else None
+        if want_s:
+            gs = _unbroadcast(g * (kx * kc), ss)
+        return gx, gc, gs
+    return _make(out, (x, ch, sp), bwd)
+
+
 def scale(x, c):
     """Multiply by a python scalar constant."""
     c = float(c)
@@ -359,19 +410,26 @@ def sigmoid(x):
     return _make(out, (x,), bwd)
 
 
-def hardswish(x):
-    """x * clamp(x + 3, 0, 6) / 6."""
-    d = x.data
+def _hardswish(d):
     out = d + 3.0  # then the same operations in this one buffer
     np.clip(out, 0.0, 6.0, out=out)
     out *= d
     out /= 6.0
+    return out
+
+
+def _hardswish_slope(d):
+    # already in d's dtype: python-float operands do not promote
+    return np.where(d <= -3.0, 0.0, np.where(d >= 3.0, 1.0, (2.0 * d + 3.0) / 6.0))
+
+
+def hardswish(x):
+    """x * clamp(x + 3, 0, 6) / 6."""
+    d = x.data
 
     def bwd(g):
-        # already in d's dtype: python-float operands do not promote
-        slope = np.where(d <= -3.0, 0.0, np.where(d >= 3.0, 1.0, (2.0 * d + 3.0) / 6.0))
-        return (g * slope,)
-    return _make(out, (x,), bwd)
+        return (g * _hardswish_slope(d),)
+    return _make(_hardswish(d), (x,), bwd)
 
 
 def simple_gate(x):
@@ -804,46 +862,133 @@ def conv2d_depthwise(x, w, b):
     return _make(out, (x, w, b), bwd)
 
 
-def instance_norm(x, gamma, beta, eps=1e-5):
-    """Normalize each (instance, channel) over the length axis of (N, L, C).
-
-    Biased variance, then a per-channel affine.  L must be at least 2; a
-    single position has no meaningful variance.
-    """
+def _norm_core(x, gamma, beta, eps, op="instance_norm"):
+    """Validate an instance norm's operands and return (xhat, inv): the
+    normalized input and 1 / std per (instance, channel).  The forward of
+    every op built on the norm; its backward is ``_norm_backward``."""
     if x.ndim != 3:
-        raise ShapeError(f"instance_norm input must be rank 3 (N, L, C), got rank {x.ndim}")
+        raise ShapeError(f"{op} input must be rank 3 (N, L, C), got rank {x.ndim}")
     n, length, c = x.shape
     if length < 2:
-        raise ShapeError(f"instance_norm needs L >= 2, got L={length}")
+        raise ShapeError(f"{op} needs L >= 2, got L={length}")
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(
-            f"instance_norm affine shapes {gamma.shape}/{beta.shape} do not match C={c}")
-    d, gd = x.data, gamma.data
+            f"{op} affine shapes {gamma.shape}/{beta.shape} do not match C={c}")
+    d = x.data
     mu = d.mean(axis=1, keepdims=True)
     xhat = d - mu
     var = (xhat ** 2).mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
+    return xhat, inv
+
+
+def _norm_affine(xhat, gd, bd, dtype):
+    """The norm's output from its kept state; a fused backward recomputes it."""
     out = xhat * gd
-    out += beta.data
-    del xhat
+    out += bd
+    return out.astype(dtype, copy=False)
+
+
+def _norm_backward(g, xhat, inv, gd, dtype):
+    """Grads (x, gamma, beta) of the norm for its output cotangent ``g``."""
+    gg = g * gd
+    m1 = gg.mean(axis=1, keepdims=True)
+    tmp = gg * xhat
+    m2 = tmp.mean(axis=1, keepdims=True)
+    ggamma = (g * xhat).sum(axis=(0, 1))
+    gbeta = g.sum(axis=(0, 1))
+    # inv * (gg - m1 - xhat * m2), in gg's buffer
+    gg -= m1
+    gg -= np.multiply(xhat, m2, out=tmp)
+    gg *= inv
+    return gg.astype(dtype, copy=False), ggamma, gbeta
+
+
+def instance_norm(x, gamma, beta, eps=1e-5):
+    """Normalize each (instance, channel) over the length axis of (N, L, C).
+
+    Biased variance, then a per-channel affine.  L must be at least 2; a
+    single position has no meaningful variance.  The closure keeps ``xhat``.
+    """
+    xhat, inv = _norm_core(x, gamma, beta, eps)
+    gd, dtype = gamma.data, x.dtype
 
     def bwd(g):
-        # recomputed, not kept: the closure holds x anyway
-        xhat = d - mu
-        xhat *= inv
-        gg = g * gd
-        m1 = gg.mean(axis=1, keepdims=True)
-        tmp = gg * xhat
-        m2 = tmp.mean(axis=1, keepdims=True)
-        ggamma = (g * xhat).sum(axis=(0, 1))
-        gbeta = g.sum(axis=(0, 1))
-        # inv * (gg - m1 - xhat * m2), in gg's buffer
-        gg -= m1
-        gg -= np.multiply(xhat, m2, out=tmp)
-        gg *= inv
-        return gg.astype(d.dtype, copy=False), ggamma, gbeta
-    return _make(out.astype(d.dtype, copy=False), (x, gamma, beta), bwd)
+        return _norm_backward(g, xhat, inv, gd, dtype)
+    return _make(_norm_affine(xhat, gd, beta.data, dtype), (x, gamma, beta), bwd)
+
+
+def norm_hardswish(x, gamma, beta, eps=1e-5):
+    """``hardswish(instance_norm(x, gamma, beta))`` as one node, bit for bit.
+
+    The closure keeps only ``xhat``; backward recomputes the norm's output
+    for the slope.
+    """
+    xhat, inv = _norm_core(x, gamma, beta, eps, "norm_hardswish")
+    gd, bd, dtype = gamma.data, beta.data, x.dtype
+    y = _norm_affine(xhat, gd, bd, dtype)
+    if not _records(x, gamma, beta):
+        xhat = None  # nothing reads it again: free it before the output is built
+    out = _hardswish(y)
+    del y
+
+    def bwd(g):
+        gy = g * _hardswish_slope(_norm_affine(xhat, gd, bd, dtype))
+        return _norm_backward(gy, xhat, inv, gd, dtype)
+    return _make(out, (x, gamma, beta), bwd)
+
+
+def norm_pointwise_gate(x, gamma, beta, w, b, eps=1e-5):
+    """``simple_gate(conv1d(instance_norm(x, gamma, beta), w, b))`` for a
+    kernel-1 conv with ``w`` of shape (1, C, 2 * Cg), as one node, bit for bit.
+
+    The closure keeps only ``xhat``, where the composed ops keep x, the
+    norm's output and the 2 * Cg-channel conv output; backward recomputes
+    the affine output and the 1x1 product.
+    """
+    xhat, inv = _norm_core(x, gamma, beta, eps, "norm_pointwise_gate")
+    n, length, cin = x.shape
+    if w.ndim != 3 or w.shape[:2] != (1, cin):
+        raise ShapeError(
+            f"norm_pointwise_gate weight has shape {w.shape}, expected (1, {cin}, Cout)")
+    c2 = w.shape[2]
+    if c2 % 2:
+        raise ShapeError(f"norm_pointwise_gate needs an even Cout, got {c2}")
+    if b.shape != (c2,):
+        raise ShapeError(f"norm_pointwise_gate bias has shape {b.shape}, expected ({c2},)")
+    c = c2 // 2
+    gd, bd, wd, cb, dtype = gamma.data, beta.data, w.data, b.data, x.dtype
+
+    def product(y):
+        z = (y.reshape(-1, cin) @ wd[0]).reshape(n, length, c2)
+        z += cb
+        return z
+
+    y = _norm_affine(xhat, gd, bd, dtype)
+    if not _records(x, gamma, beta, w, b):
+        xhat = None  # nothing reads it again: free it before the product
+    z = product(y)
+    del y
+    out = z[..., :c] * z[..., c:]
+    del z
+
+    def bwd(g):
+        y = _norm_affine(xhat, gd, bd, dtype)
+        z = product(y)
+        gz = np.empty(g.shape[:-1] + (c2,), np.result_type(g, z))
+        np.multiply(g, z[..., c:], out=gz[..., :c])
+        np.multiply(g, z[..., :c], out=gz[..., c:])
+        del z
+        gflat = gz.reshape(-1, c2)
+        gw = np.empty_like(wd)
+        gw[0] = y.reshape(-1, cin).T @ gflat
+        del y
+        gy = (gflat @ wd[0].T).reshape(n, length, cin)
+        gb = gz.sum(axis=(0, 1))
+        del gz, gflat
+        return _norm_backward(gy, xhat, inv, gd, dtype) + (gw, gb)
+    return _make(out, (x, gamma, beta, w, b), bwd)
 
 
 # ---------------------------------------------------------------------------

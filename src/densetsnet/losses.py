@@ -20,7 +20,7 @@ from .autodiff import Tensor
 from .dsp import StftConfig, consistency_project
 from .errors import ConfigError, ShapeError
 from .evaluation import SSNR_CEIL_DB, SSNR_FLOOR_DB, ssnr
-from .model import instance_norm_2d
+from .model import norm_hardswish_2d
 from .params import ParamStore
 
 
@@ -96,9 +96,7 @@ class Discriminator:
         h = ad.concat_last([ad.reshape(x_m, (b, t, f, 1)), ad.reshape(x_hat, (b, t, f, 1))])
         for w, bias, g, be in self.stages:
             h = ad.conv2d(h, w, bias, stride=(2, 2))
-            if g is not None:
-                h = instance_norm_2d(h, g, be)
-            h = ad.hardswish(h)
+            h = ad.hardswish(h) if g is None else norm_hardswish_2d(h, g, be)
         pooled = ad.mean(ad.mean(h, axis=1, keepdims=True), axis=2, keepdims=True)
         score = ad.conv2d_pointwise(pooled, self.head_w, self.head_b)
         return ad.sigmoid(ad.reshape(score, (b,)))

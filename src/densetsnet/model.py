@@ -116,24 +116,29 @@ def mvgb_forward(x: Tensor, p: MvgbParams) -> Tensor:
         raise ShapeError(f"mvgb expects (N, L, {p.c}), got {x.shape}")
     # One name through each chain: under no_grad a map that nothing reads
     # again is freed at once, instead of living to the end of the function.
-    g = ad.instance_norm(x, p.norm_g, p.norm_b)
+    # The fused ops keep less on the tape than the ops they stand for and
+    # match them bit for bit (see the autodiff module docstring).
     if p.lke:
-        g = ad.conv1d(g, p.lke["pw_in_w"], p.lke["pw_in_b"])
-        g = ad.simple_gate(g)
+        g = ad.norm_pointwise_gate(x, p.norm_g, p.norm_b, p.lke["pw_in_w"], p.lke["pw_in_b"])
         g = ad.conv1d(g, p.lke["dw_w"], p.lke["dw_b"], groups=p.c)
-        g = ad.instance_norm(g, p.lke["norm_g"], p.lke["norm_b"])
-        g = ad.hardswish(g)
+        g = ad.norm_hardswish(g, p.lke["norm_g"], p.lke["norm_b"])
         g = ad.conv1d(g, p.lke["pw_out_w"], p.lke["pw_out_b"])
-    y = g
+    else:
+        g = ad.instance_norm(x, p.norm_g, p.norm_b)
     if p.ca:
         pooled = ad.mean(g, axis=1, keepdims=True)
         ch = ad.conv1d(pooled, p.ca["w"], p.ca["b"])
-        y = ad.mul(y, ch)
     if p.lsg:
         s = ad.conv1d(g, p.lsg["dw_w"], p.lsg["dw_b"], groups=p.c)
         s = ad.conv1d(s, p.lsg["pw_w"], p.lsg["pw_b"])
         sp = ad.learnable_sigmoid(s, p.lsg["alpha"], beta=1.0)
-        y = ad.mul(y, sp)
+    y = g
+    if p.ca and p.lsg:
+        y = ad.gated_product(g, ch, sp)
+    elif p.ca:
+        y = ad.mul(g, ch)
+    elif p.lsg:
+        y = ad.mul(g, sp)
     return ad.add(x, ad.conv1d(y, p.fuse_w, p.fuse_b))
 
 
@@ -150,11 +155,11 @@ def ts_mvgb_forward(d: Tensor, p_time: MvgbParams, p_freq: MvgbParams) -> Tensor
     return ad.reshape(h, (b, t, f, c))
 
 
-def instance_norm_2d(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Instance norm over both spatial axes of (B, T, F, C)."""
+def norm_hardswish_2d(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Instance norm over both spatial axes of (B, T, F, C), then hardswish."""
     b, t, f, c = x.shape
     flat = ad.reshape(x, (b, t * f, c))
-    return ad.reshape(ad.instance_norm(flat, gamma, beta), (b, t, f, c))
+    return ad.reshape(ad.norm_hardswish(flat, gamma, beta), (b, t, f, c))
 
 
 class _MaskNet:
@@ -295,8 +300,7 @@ def _dense_block_forward(x: Tensor, layers) -> Tensor:
     out = x
     for w, b, g, be, d in layers:
         h = ad.conv2d(feats, w, b, dilation=(d, 1))
-        h = instance_norm_2d(h, g, be)
-        out = ad.hardswish(h)
+        out = norm_hardswish_2d(h, g, be)
         feats = ad.concat_last([feats, out])
     return out
 

@@ -388,7 +388,7 @@ def train(model_cfg: ModelConfig, stft_cfg: StftConfig, train_cfg: TrainConfig,
             cpu0, wall0 = time.process_time(), time.perf_counter()
             batch = make_batch(dataset, rng, train_cfg.batch_size, seg, stft_cfg)
             model.store.zero_grad()
-            _, enh = model.forward(batch.noisy_mag)
+            enh = model.forward(batch.noisy_mag)[1]  # the mask is not kept into the next step
 
             x_out = (consistency_project(enh, batch.noisy_phase, stft_cfg, seg)
                      if train_cfg.use_consistency else enh)

@@ -10,6 +10,7 @@ import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 
+import densetsnet.autodiff as ad
 from densetsnet.autodiff import Tensor
 
 
@@ -116,6 +117,37 @@ def instance_norm_grads_ref(x, gamma, beta, g, eps=1e-5):
     m2 = (gg * xhat).mean(axis=1, keepdims=True)
     gx = inv * (gg - m1 - xhat * m2)
     return out, gx, (g * xhat).sum(axis=(0, 1)), g.sum(axis=(0, 1))
+
+
+def mvgb_forward_composed(x, p):
+    """The gaze block written with the unfused ops: the reference that the
+    library's fused ``model.mvgb_forward`` must match bit for bit."""
+    g = ad.instance_norm(x, p.norm_g, p.norm_b)
+    if p.lke:
+        g = ad.conv1d(g, p.lke["pw_in_w"], p.lke["pw_in_b"])
+        g = ad.simple_gate(g)
+        g = ad.conv1d(g, p.lke["dw_w"], p.lke["dw_b"], groups=p.c)
+        g = ad.instance_norm(g, p.lke["norm_g"], p.lke["norm_b"])
+        g = ad.hardswish(g)
+        g = ad.conv1d(g, p.lke["pw_out_w"], p.lke["pw_out_b"])
+    y = g
+    if p.ca:
+        pooled = ad.mean(g, axis=1, keepdims=True)
+        ch = ad.conv1d(pooled, p.ca["w"], p.ca["b"])
+        y = ad.mul(y, ch)
+    if p.lsg:
+        s = ad.conv1d(g, p.lsg["dw_w"], p.lsg["dw_b"], groups=p.c)
+        s = ad.conv1d(s, p.lsg["pw_w"], p.lsg["pw_b"])
+        sp = ad.learnable_sigmoid(s, p.lsg["alpha"], beta=1.0)
+        y = ad.mul(y, sp)
+    return ad.add(x, ad.conv1d(y, p.fuse_w, p.fuse_b))
+
+
+def norm_hardswish_2d_composed(x, gamma, beta):
+    """Unfused reference of ``model.norm_hardswish_2d``."""
+    b, t, f, c = x.shape
+    flat = ad.reshape(x, (b, t * f, c))
+    return ad.hardswish(ad.reshape(ad.instance_norm(flat, gamma, beta), (b, t, f, c)))
 
 
 def stft_ref(samples, n_fft=400, hop=100, window=None):

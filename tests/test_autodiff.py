@@ -363,6 +363,78 @@ def test_learnable_sigmoid_is_the_composed_ops_bit_for_bit(beta):
         np.testing.assert_array_equal(fused, composed)
 
 
+# fused op -> (composed ops it stands for, operand shapes)
+_FUSED = {
+    "norm_pointwise_gate": (
+        lambda x, g, b, w, c: ad.simple_gate(ad.conv1d(ad.instance_norm(x, g, b), w, c)),
+        ((2, 9, 3), (3,), (3,), (1, 3, 4), (4,))),
+    "norm_hardswish": (
+        lambda x, g, b: ad.hardswish(ad.instance_norm(x, g, b)),
+        ((2, 9, 3), (3,), (3,))),
+    "gated_product": (
+        lambda x, ch, sp: ad.mul(ad.mul(x, ch), sp),
+        ((2, 9, 3), (2, 1, 3), (2, 9, 3))),
+}
+
+
+def _fused_operands(name, dtype):
+    # scaled so the norm's outputs cross hardswish's kinks at +-3
+    rng = np.random.default_rng(32)
+    return [(3.0 * rng.standard_normal(s)).astype(dtype) for s in _FUSED[name][1]]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("name", sorted(_FUSED))
+def test_fused_op_is_the_composed_ops_bit_for_bit(name, dtype):
+    """Value and every grad, also in float32, where a changed rounding
+    would show first."""
+    arrays = _fused_operands(name, dtype)
+    results = []
+    for op in (getattr(ad, name), _FUSED[name][0]):
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = op(*leaves)
+        r = np.random.default_rng(33).standard_normal(out.shape).astype(dtype)
+        results.append([out.data] + _grads_for(r, out, leaves))
+    for fused, composed in zip(*results):
+        assert fused.dtype == composed.dtype == dtype
+        assert np.array_equal(fused, composed)
+
+
+@pytest.mark.parametrize("name", sorted(_FUSED))
+def test_fused_op_under_no_grad_gives_the_recorded_value(name):
+    arrays = _fused_operands(name, np.float64)
+    recorded = getattr(ad, name)(*(Tensor(a, requires_grad=True) for a in arrays))
+    with ad.no_grad():
+        bare = getattr(ad, name)(*(Tensor(a, requires_grad=True) for a in arrays))
+    assert bare._backward is None
+    assert np.array_equal(bare.data, recorded.data)
+
+
+@pytest.mark.parametrize("taped", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1)])
+def test_gated_product_grads_only_its_taped_operands(taped):
+    arrays = _fused_operands("gated_product", np.float64)
+    results = []
+    for op in (ad.gated_product, _FUSED["gated_product"][0]):
+        ops = [Tensor(a.copy(), requires_grad=bool(t)) for a, t in zip(arrays, taped)]
+        out = op(*ops)
+        _grads_for(np.ones(out.shape), out, ops)
+        results.append([t.grad for t in ops])
+    for fused, composed, t in zip(*results, taped):
+        assert (fused is None) == (composed is None) == (not t)
+        assert fused is None or np.array_equal(fused, composed)
+
+
+def test_norm_pointwise_gate_rejects_bad_weights():
+    rng = np.random.default_rng(34)
+    x, g, b = leaf(rng, 2, 5, 3), leaf(rng, 3), leaf(rng, 3)
+    with pytest.raises(ShapeError, match="even"):
+        ad.norm_pointwise_gate(x, g, b, leaf(rng, 1, 3, 5), leaf(rng, 5))
+    with pytest.raises(ShapeError, match="weight"):
+        ad.norm_pointwise_gate(x, g, b, leaf(rng, 3, 3, 4), leaf(rng, 4))
+    with pytest.raises(ShapeError, match="bias"):
+        ad.norm_pointwise_gate(x, g, b, leaf(rng, 1, 3, 4), leaf(rng, 2))
+
+
 def test_instance_norm_grads_match_kept_state_oracle():
     rng = np.random.default_rng(30)
     for shape in ((2, 9, 3), (1, 16, 5)):
@@ -654,6 +726,13 @@ _F32_CASES = {
         mk(2, 5, 6, 3), mk(3, 3, 3), mk(3)),
     "instance_norm": lambda mk: (lambda x, g, b: (ad.instance_norm(x, g, b), (x, g, b)))(
         mk(2, 7, 3), mk(3), mk(3)),
+    "norm_hardswish": lambda mk: (lambda x, g, b: (ad.norm_hardswish(x, g, b), (x, g, b)))(
+        mk(2, 7, 3), mk(3), mk(3)),
+    "norm_pointwise_gate": lambda mk: (lambda x, g, b, w, c: (
+        ad.norm_pointwise_gate(x, g, b, w, c), (x, g, b, w, c)))(
+        mk(2, 7, 3), mk(3), mk(3), mk(1, 3, 4), mk(4)),
+    "gated_product": lambda mk: (lambda x, ch, sp: (ad.gated_product(x, ch, sp), (x, ch, sp)))(
+        mk(2, 3, 4), mk(2, 1, 4), mk(2, 3, 4)),
 }
 
 

@@ -27,6 +27,15 @@ BatchNorm"):
   operands, which the ops that made them hold already, and recomputes
   ``x * ch``.
 
+Every convolution runs on one of three kernels.  Two work on arrays and
+return an output and its backward, so ``norm_pointwise_gate`` runs its 1x1
+product on one: ``_dense_taps`` does one matmul per tap and group over a
+zero-padded copy of the input, and ``_depthwise_taps`` adds shifted slices
+of the unpadded input per channel, for ``conv2d_depthwise`` and the
+depthwise ``conv1d``.  Both build an input grad only for an input that
+takes grad.  A depthwise ``conv1d`` of 9 or more undilated taps switches
+to the third, ``_conv1d_dw_fft``, a correlation by FFT along L.
+
 ``backward`` walks the records once in reverse topological order and
 consumes them as it goes: each record drops its parents and its closure as
 soon as the closure has run, so the tape is freed while the gradients flow
@@ -50,6 +59,8 @@ only.
 from __future__ import annotations
 
 import weakref
+from functools import reduce
+from operator import iadd
 
 import numpy as np
 
@@ -315,18 +326,18 @@ def backward(loss):
 # ---------------------------------------------------------------------------
 
 def add(a, b):
-    sa, sb = a.shape, b.shape
+    sa, sb, wa, wb = a.shape, b.shape, a.requires_grad, b.requires_grad
 
     def bwd(g):
-        return _unbroadcast(g, sa), _unbroadcast(g, sb)
+        return (_unbroadcast(g, sa) if wa else None), (_unbroadcast(g, sb) if wb else None)
     return _make(a.data + b.data, (a, b), bwd)
 
 
 def sub(a, b):
-    sa, sb = a.shape, b.shape
+    sa, sb, wa, wb = a.shape, b.shape, a.requires_grad, b.requires_grad
 
     def bwd(g):
-        return _unbroadcast(g, sa), -_unbroadcast(g, sb)
+        return (_unbroadcast(g, sa) if wa else None), (-_unbroadcast(g, sb) if wb else None)
     return _make(a.data - b.data, (a, b), bwd)
 
 
@@ -589,10 +600,94 @@ def complex_magnitude(re, im):
 # convolutions and normalization
 # ---------------------------------------------------------------------------
 
-def _same_pad_1d(kernel, dilation):
-    span = (kernel - 1) * dilation
-    left = span // 2
-    return left, span - left  # even kernels pad one extra on the right
+def _dense_taps(x, w, b, stride, dilation, groups, want_gx):
+    """Grouped SAME cross-correlation of x (N, *S, Cin) with w (*K, Cin //
+    groups, Cout) plus b (Cout,): the output (N, *ceil(S / stride), Cout)
+    and ``bwd(g) -> (gx, gw, gb)``, with ``gx`` None unless ``want_gx``."""
+    n, *size, cin = x.shape
+    *kernel, cin_g, cout = w.shape
+    cout_g = cout // groups
+    osize, pads = [], []  # an odd total padding puts one more on the high side
+    for s, k, st, d in zip(size, kernel, stride, dilation):
+        osize.append(-(-s // st))
+        total = max(0, (osize[-1] - 1) * st + (k - 1) * d + 1 - s)
+        pads.append((total // 2, total - total // 2))
+    xp = np.pad(x, ((0, 0), *pads, (0, 0))) if any(map(any, pads)) else x
+    taps = []  # (index of the tap's weights, the input window it reads)
+    for t in np.ndindex(*kernel):
+        window = (slice(i * d, i * d + st * o, st)
+                  for i, d, st, o in zip(t, dilation, stride, osize))
+        taps.append((t + (slice(None),), (slice(None), *window)))
+    chans = [(slice(gi * cin_g, (gi + 1) * cin_g), slice(gi * cout_g, (gi + 1) * cout_g))
+             for gi in range(groups)]
+    # each accumulator starts from its first tap's product
+    parts = [reduce(iadd, (xp[tap + (xs,)].reshape(-1, cin_g) @ w[t + (os,)] for t, tap in taps))
+             .reshape(n, *osize, cout_g) for xs, os in chans]
+    out = parts[0] if groups == 1 else np.concatenate(parts, axis=-1)
+    out += b
+    # a 1x1 unpadded conv's input grad is its one tap's product
+    whole = groups == 1 and len(taps) == 1 and xp is x and osize == size
+    crop = (slice(None),) + tuple(slice(lo, lo + s) for (lo, _), s in zip(pads, size))
+
+    def bwd(g):
+        gw = np.empty_like(w)
+        gxp = np.zeros_like(xp) if want_gx and not whole else None
+        for xs, os in chans:
+            gseg = g[..., os].reshape(-1, cout_g)
+            for t, tap in taps:
+                gw[t + (os,)] = xp[tap + (xs,)].reshape(-1, cin_g).T @ gseg
+                if want_gx:
+                    gt = (gseg @ w[t + (os,)].T).reshape(n, *osize, cin_g)
+                    if whole:
+                        gxp = gt
+                    else:
+                        gxp[tap + (xs,)] += gt
+        gx = np.ascontiguousarray(gxp[crop]) if want_gx else None
+        return gx, gw, g.reshape(-1, cout).sum(axis=0)
+    return out, bwd
+
+
+def _depthwise_taps(x, w, b, dilation, want_gx):
+    """Per-channel SAME cross-correlation, stride 1, of x (N, *S, C) with
+    w (*K, C) plus b (C,), as ``_dense_taps``; each position sums its taps
+    in the order a padded copy would."""
+    size, kernel = x.shape[1:-1], w.shape[:-1]
+    taps = []
+    for t in np.ndindex(*kernel):
+        dst, src = [slice(None)], [slice(None)]
+        for i, k, d, s in zip(t, kernel, dilation, size):
+            shift = i * d - (k - 1) * d // 2  # the low SAME padding
+            start, stop = max(0, -shift), min(s, s - shift)
+            dst.append(slice(start, stop))
+            src.append(slice(start + shift, stop + shift))
+        if all(sl.start < sl.stop for sl in dst[1:]):
+            taps.append((t, tuple(dst), tuple(src)))
+    out = np.zeros_like(x)
+    for t, dst, src in taps:
+        out[dst] += x[src] * w[t]
+    out += b
+    c = x.shape[-1]
+
+    def bwd(g):
+        gx = np.zeros_like(x) if want_gx else None
+        gw = np.zeros_like(w)
+        for t, dst, src in taps:
+            if want_gx:
+                gx[src] += g[dst] * w[t]
+            gw[t] = (x[src] * g[dst]).reshape(-1, c).sum(axis=0)
+        return gx, gw, g.reshape(-1, c).sum(axis=0)
+    return out, bwd
+
+
+def _conv_node(x, w, b, taps):
+    """Record a conv whose kernel saw a view of ``w``; gw takes its shape back."""
+    out, taps_bwd = taps
+    shape = w.shape
+
+    def bwd(g):
+        gx, gw, gb = taps_bwd(g)
+        return gx, gw.reshape(shape), gb
+    return _make(out, (x, w, b), bwd)
 
 
 def conv1d(x, w, b, groups=1, dilation=1):
@@ -604,7 +699,7 @@ def conv1d(x, w, b, groups=1, dilation=1):
     """
     if x.ndim != 3:
         raise ShapeError(f"conv1d input must be rank 3 (N, L, C), got rank {x.ndim}")
-    n, length, cin = x.shape
+    _, length, cin = x.shape
     k, cin_g, cout = w.shape
     if cin % groups:
         raise ShapeError(f"conv1d Cin={cin} not divisible by groups={groups}")
@@ -616,18 +711,16 @@ def conv1d(x, w, b, groups=1, dilation=1):
     if b.shape != (cout,):
         raise ShapeError(f"conv1d bias has shape {b.shape}, expected ({cout},)")
 
-    pl, pr = _same_pad_1d(k, dilation)
     depthwise = groups == cin and cout == cin
-    fft = depthwise and dilation == 1 and k >= 9 and length >= 2
-    if depthwise and not fft:
-        return _conv1d_dw_taps(x, w, b, pl, dilation)
-
-    xp = np.pad(x.data, ((0, 0), (pl, pr), (0, 0))) if pl or pr else x.data
-    if fft:
+    if depthwise and dilation == 1 and k >= 9 and length >= 2:
+        pl = (k - 1) // 2
+        xp = np.pad(x.data, ((0, 0), (pl, k - 1 - pl), (0, 0)))
         return _conv1d_dw_fft(x, w, b, xp, length, pl)
-    if groups == 1:
-        return _conv1d_dense_taps(x, w, b, xp, length, pl, dilation)
-    return _conv1d_grouped(x, w, b, xp, length, pl, dilation, groups)
+    if depthwise:
+        taps = _depthwise_taps(x.data, w.data[:, 0, :], b.data, (dilation,), x.requires_grad)
+    else:
+        taps = _dense_taps(x.data, w.data, b.data, (1,), (dilation,), groups, x.requires_grad)
+    return _conv_node(x, w, b, taps)
 
 
 def _next_fast_len(n):
@@ -671,98 +764,6 @@ def _conv1d_dw_fft(x, w, b, xp, length, pl):
     return _make(out, (x, w, b), bwd)
 
 
-def _conv1d_dw_taps(x, w, b, pl, dilation):
-    # Tap t adds x shifted by s = t * dilation - pl to output rows [lo, hi);
-    # the zero padding adds nothing, so no padded copy is built in either
-    # pass, and each row sums its taps in the order a padded copy would.
-    d, wd = x.data, w.data
-    length = d.shape[1]
-    wk = wd[:, 0, :]
-    spans = []
-    for t in range(wd.shape[0]):
-        s = t * dilation - pl
-        lo, hi = max(0, -s), min(length, length - s)
-        if lo < hi:
-            spans.append((t, s, lo, hi))
-    out = np.zeros_like(d)
-    for t, s, lo, hi in spans:
-        out[:, lo:hi] += d[:, lo + s:hi + s] * wk[t]
-    out += b.data
-
-    def bwd(g):
-        gx = np.zeros_like(d)
-        gw = np.zeros_like(wd)
-        for t, s, lo, hi in spans:
-            gx[:, lo + s:hi + s] += g[:, lo:hi] * wk[t]
-            gw[t, 0, :] = (d[:, lo + s:hi + s] * g[:, lo:hi]).sum(axis=(0, 1))
-        return gx, gw, g.sum(axis=(0, 1))
-    return _make(out, (x, w, b), bwd)
-
-
-def _conv1d_dense_taps(x, w, b, xp, length, pl, dilation):
-    n, _, cin = x.shape
-    k, _, cout = w.shape
-    wd = w.data
-    flat = xp.reshape(-1, cin) if k == 1 else None
-    if k == 1:
-        out = (flat @ wd[0]).reshape(n, length, cout)
-        out += b.data
-    else:
-        acc = np.zeros((n * length, cout), dtype=x.dtype)
-        for t in range(k):
-            off = t * dilation
-            acc += xp[:, off:off + length, :].reshape(-1, cin) @ wd[t]
-        out = acc.reshape(n, length, cout) + b.data
-
-    def bwd(g):
-        gflat = g.reshape(-1, cout)
-        gw = np.empty_like(wd)
-        if k == 1:
-            gx = (gflat @ wd[0].T).reshape(n, length, cin)
-            gw[0] = flat.T @ gflat
-        else:
-            gxp = np.zeros_like(xp)
-            for t in range(k):
-                off = t * dilation
-                seg = xp[:, off:off + length, :].reshape(-1, cin)
-                gw[t] = seg.T @ gflat
-                gxp[:, off:off + length, :] += (gflat @ wd[t].T).reshape(n, length, cin)
-            gx = gxp[:, pl:pl + length, :]
-        return np.ascontiguousarray(gx), gw, g.sum(axis=(0, 1))
-    return _make(out, (x, w, b), bwd)
-
-
-def _conv1d_grouped(x, w, b, xp, length, pl, dilation, groups):
-    n, _, cin = x.shape
-    k, cin_g, cout = w.shape
-    wd = w.data
-    cout_g = cout // groups
-    out = np.zeros((n, length, cout), dtype=x.dtype)
-    for gi in range(groups):
-        xs = slice(gi * cin_g, (gi + 1) * cin_g)
-        os = slice(gi * cout_g, (gi + 1) * cout_g)
-        for t in range(k):
-            off = t * dilation
-            seg = xp[:, off:off + length, xs].reshape(-1, cin_g)
-            out[:, :, os] += (seg @ wd[t, :, os]).reshape(n, length, cout_g)
-    out += b.data
-
-    def bwd(g):
-        gxp = np.zeros_like(xp)
-        gw = np.zeros_like(wd)
-        for gi in range(groups):
-            xs = slice(gi * cin_g, (gi + 1) * cin_g)
-            os = slice(gi * cout_g, (gi + 1) * cout_g)
-            gseg = g[:, :, os].reshape(-1, cout_g)
-            for t in range(k):
-                off = t * dilation
-                seg = xp[:, off:off + length, xs].reshape(-1, cin_g)
-                gw[t, :, os] = seg.T @ gseg
-                gxp[:, off:off + length, xs] += (gseg @ wd[t, :, os].T).reshape(n, length, cin_g)
-        return gxp[:, pl:pl + length, :], gw, g.sum(axis=(0, 1))
-    return _make(out, (x, w, b), bwd)
-
-
 def conv2d_pointwise(x, w, b):
     """1x1 convolution over (B, T, F, Cin): a per-position channel map."""
     if x.ndim != 4:
@@ -773,17 +774,8 @@ def conv2d_pointwise(x, w, b):
             f"conv2d_pointwise channel mismatch: input Cin={x.shape[-1]}, weight Cin={cin}")
     if b.shape != (cout,):
         raise ShapeError(f"conv2d_pointwise bias has shape {b.shape}, expected ({cout},)")
-    shape, wd = x.shape, w.data
-    flat = x.data.reshape(-1, cin)
-    out = (flat @ wd).reshape(*shape[:-1], cout)
-    out += b.data
-
-    def bwd(g):
-        gflat = g.reshape(-1, cout)
-        gx = (gflat @ wd.T).reshape(shape)
-        gw = flat.T @ gflat
-        return gx, gw, gflat.sum(axis=0)
-    return _make(out, (x, w, b), bwd)
+    return _conv_node(x, w, b, _dense_taps(x.data, w.data.reshape(1, 1, cin, cout), b.data,
+                                           (1, 1), (1, 1), 1, x.requires_grad))
 
 
 def conv2d(x, w, b, stride=(1, 1), dilation=(1, 1)):
@@ -794,72 +786,23 @@ def conv2d(x, w, b, stride=(1, 1), dilation=(1, 1)):
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d input must be rank 4, got rank {x.ndim}")
-    bsz, hh, ww_, cin = x.shape
-    kh, kw, wcin, cout = w.shape
+    cin = x.shape[-1]
+    _, _, wcin, _ = w.shape
     if wcin != cin:
         raise ShapeError(f"conv2d channel mismatch: input Cin={cin}, weight Cin={wcin}")
-    sh, sw = stride
-    dh, dw = dilation
-    ho = -(-hh // sh)
-    wo = -(-ww_ // sw)
-    pad_h = max(0, (ho - 1) * sh + (kh - 1) * dh + 1 - hh)
-    pad_w = max(0, (wo - 1) * sw + (kw - 1) * dw + 1 - ww_)
-    pt, pb = pad_h // 2, pad_h - pad_h // 2
-    plft, prgt = pad_w // 2, pad_w - pad_w // 2
-    xp = np.pad(x.data, ((0, 0), (pt, pb), (plft, prgt), (0, 0)))
-    wd = w.data
-
-    def tap(arr, i, j):
-        return arr[:, i * dh: i * dh + sh * ho: sh, j * dw: j * dw + sw * wo: sw, :]
-
-    out = np.zeros((bsz, ho, wo, cout), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            seg = tap(xp, i, j).reshape(-1, cin)
-            out += (seg @ wd[i, j]).reshape(bsz, ho, wo, cout)
-    out += b.data
-
-    def bwd(g):
-        gflat = g.reshape(-1, cout)
-        gxp = np.zeros_like(xp)
-        gw = np.empty_like(wd)
-        for i in range(kh):
-            for j in range(kw):
-                seg = tap(xp, i, j).reshape(-1, cin)
-                gw[i, j] = seg.T @ gflat
-                tap(gxp, i, j)[...] += (gflat @ wd[i, j].T).reshape(bsz, ho, wo, cin)
-        gx = gxp[:, pt:pt + hh, plft:plft + ww_, :]
-        return np.ascontiguousarray(gx), gw, gflat.sum(axis=0)
-    return _make(out, (x, w, b), bwd)
+    return _conv_node(x, w, b, _dense_taps(x.data, w.data, b.data, tuple(stride),
+                                           tuple(dilation), 1, x.requires_grad))
 
 
 def conv2d_depthwise(x, w, b):
     """Per-channel 3x3-style conv over (B, H, W, C), stride 1, SAME padding."""
     if x.ndim != 4:
         raise ShapeError(f"conv2d_depthwise input must be rank 4, got rank {x.ndim}")
-    bsz, hh, ww_, c = x.shape
-    kh, kw, wc = w.shape
+    c = x.shape[-1]
+    _, _, wc = w.shape
     if wc != c:
         raise ShapeError(f"conv2d_depthwise channel mismatch: input C={c}, weight C={wc}")
-    pt, pb = _same_pad_1d(kh, 1)
-    plft, prgt = _same_pad_1d(kw, 1)
-    xp = np.pad(x.data, ((0, 0), (pt, pb), (plft, prgt), (0, 0)))
-    wd = w.data
-    out = np.zeros_like(x.data)
-    for i in range(kh):
-        for j in range(kw):
-            out += xp[:, i:i + hh, j:j + ww_, :] * wd[i, j]
-    out += b.data
-
-    def bwd(g):
-        gxp = np.zeros_like(xp)
-        gw = np.empty_like(wd)
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, i:i + hh, j:j + ww_, :] += g * wd[i, j]
-                gw[i, j] = (xp[:, i:i + hh, j:j + ww_, :] * g).sum(axis=(0, 1, 2))
-        return gxp[:, pt:pt + hh, plft:plft + ww_, :], gw, g.sum(axis=(0, 1, 2))
-    return _make(out, (x, w, b), bwd)
+    return _conv_node(x, w, b, _depthwise_taps(x.data, w.data, b.data, (1, 1), x.requires_grad))
 
 
 def _norm_core(x, gamma, beta, eps, op="instance_norm"):
@@ -948,7 +891,7 @@ def norm_pointwise_gate(x, gamma, beta, w, b, eps=1e-5):
     the affine output and the 1x1 product.
     """
     xhat, inv = _norm_core(x, gamma, beta, eps, "norm_pointwise_gate")
-    n, length, cin = x.shape
+    cin = x.shape[-1]
     if w.ndim != 3 or w.shape[:2] != (1, cin):
         raise ShapeError(
             f"norm_pointwise_gate weight has shape {w.shape}, expected (1, {cin}, Cout)")
@@ -961,32 +904,24 @@ def norm_pointwise_gate(x, gamma, beta, w, b, eps=1e-5):
     gd, bd, wd, cb, dtype = gamma.data, beta.data, w.data, b.data, x.dtype
 
     def product(y):
-        z = (y.reshape(-1, cin) @ wd[0]).reshape(n, length, c2)
-        z += cb
-        return z
+        return _dense_taps(y, wd, cb, (1,), (1,), 1, True)
 
     y = _norm_affine(xhat, gd, bd, dtype)
     if not _records(x, gamma, beta, w, b):
         xhat = None  # nothing reads it again: free it before the product
-    z = product(y)
+    z = product(y)[0]  # not the kernel's backward, which would keep y alive
     del y
     out = z[..., :c] * z[..., c:]
     del z
 
     def bwd(g):
-        y = _norm_affine(xhat, gd, bd, dtype)
-        z = product(y)
+        z, z_bwd = product(_norm_affine(xhat, gd, bd, dtype))
         gz = np.empty(g.shape[:-1] + (c2,), np.result_type(g, z))
         np.multiply(g, z[..., c:], out=gz[..., :c])
         np.multiply(g, z[..., :c], out=gz[..., c:])
         del z
-        gflat = gz.reshape(-1, c2)
-        gw = np.empty_like(wd)
-        gw[0] = y.reshape(-1, cin).T @ gflat
-        del y
-        gy = (gflat @ wd[0].T).reshape(n, length, cin)
-        gb = gz.sum(axis=(0, 1))
-        del gz, gflat
+        gy, gw, gb = z_bwd(gz)
+        del z_bwd, gz
         return _norm_backward(gy, xhat, inv, gd, dtype) + (gw, gb)
     return _make(out, (x, gamma, beta, w, b), bwd)
 

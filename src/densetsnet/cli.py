@@ -19,7 +19,7 @@ from .checkpoint import load_checkpoint
 from .errors import ConfigError, DataError, NumericalError, ShapeError
 from .evaluation import evaluate_dir
 from .losses import proxy_quality
-from .model import build_model
+from .model import _DROPPABLE, _VARIANTS, build_model
 from .training import (ECHOED_FIELDS, DatasetSpec, PairedDataset,
                        configs_from_echo, enhance_waveforms, synth_dataset, train)
 from .wavio import wav_read, wav_seconds, wav_write
@@ -262,8 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--noisy-dir")
     t.add_argument("--synthetic", type=int, metavar="N",
                    help="generate an N-pair synthetic dataset instead of reading WAV dirs")
-    t.add_argument("--variant", choices=["dense_ts", "classic_ts"])
-    t.add_argument("--drop", action="append", choices=["LKE", "CA", "LSG", "lke", "ca", "lsg"],
+    t.add_argument("--variant", choices=list(_VARIANTS))
+    t.add_argument("--drop", action="append",
+                   choices=[d.upper() for d in _DROPPABLE] + list(_DROPPABLE),
                    help="replace a gaze-block branch with identity (repeatable)")
     t.add_argument("--no-consistency", action="store_true",
                    help="train on the raw magnitude error, skipping the projection")

@@ -48,7 +48,7 @@ class ModelConfig:
                 raise ConfigError(f"kernels must be odd and positive, got {k}")
         if self.mask_beta <= 0:
             raise ConfigError(f"mask_beta must be positive, got {self.mask_beta}")
-        if self.variant not in ("dense_ts", "classic_ts"):
+        if self.variant not in _VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
         drop = tuple(sorted(set(d.lower() for d in self.drop)))
         bad = [d for d in drop if d not in _DROPPABLE]
@@ -329,10 +329,11 @@ class ClassicTsNet(_MaskNet):
         return h, {"final": h}
 
 
+_VARIANTS = {net.VARIANT: net for net in (DenseTsNet, ClassicTsNet)}
+
+
 def build_model(cfg: ModelConfig, stft_cfg: StftConfig, seed: int = 0):
-    if cfg.variant == "classic_ts":
-        return ClassicTsNet(cfg, stft_cfg, seed)
-    return DenseTsNet(cfg, stft_cfg, seed)
+    return _VARIANTS[cfg.variant](cfg, stft_cfg, seed)
 
 
 def _group_of(name: str) -> str:

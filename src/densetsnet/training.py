@@ -25,7 +25,7 @@ from .dsp import AudioClip, ComplexSpec, StftConfig, consistency_project, istft,
 from .errors import ConfigError, DataError, NumericalError
 from .losses import (Discriminator, LossWeights, discriminator_loss,
                      generator_loss, mag_mse, metric_loss, proxy_quality)
-from .model import ModelConfig, build_model
+from .model import _VARIANTS, ModelConfig, build_model
 from .params import ParamStore
 
 CURVE_COLUMNS = ("step", "l_mag_consis", "l_metric", "l_disc", "val_mag_error", "val_quality")
@@ -519,7 +519,7 @@ def compare_variants(dataset: PairedDataset, stft_cfg: StftConfig,
     """Train both variants under one config; write a side-by-side summary."""
     out_dir = Path(out_dir)
     results = {}
-    for variant in ("dense_ts", "classic_ts"):
+    for variant in _VARIANTS:
         results[variant] = train(ModelConfig(variant=variant), stft_cfg, train_cfg, dataset,
                                  out_dir / variant, oracle=oracle)
     lines = ["variant,final_val_mag_error,final_val_quality,params"]

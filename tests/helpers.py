@@ -73,6 +73,43 @@ def conv2d_ref(x, w, b, stride=(1, 1), dilation=(1, 1)):
     return out
 
 
+def conv2d_grads_ref(x, w, g, stride=(1, 1), dilation=(1, 1), groups=1):
+    """Nested-loop grads (gx, gw, gb) of the grouped form of ``conv2d_ref``
+    for the output cotangent ``g``: each output position, channel and tap
+    hands its share of ``g`` to the input pixel and the weight it read.
+
+    x (B, H, W, Cin), w (kh, kw, Cin/groups, Cout), g (B, ceil(H/sh),
+    ceil(W/sw), Cout).  A 1-D conv is the W = 1 case; a depthwise conv has
+    groups = C and w (kh, kw, 1, C).
+    """
+    bsz, hh, ww_, _ = x.shape
+    kh, kw, cin_g, cout = w.shape
+    _, ho, wo, _ = g.shape
+    sh, sw = stride
+    dh, dw = dilation
+    pt = max(0, (ho - 1) * sh + (kh - 1) * dh + 1 - hh) // 2
+    plft = max(0, (wo - 1) * sw + (kw - 1) * dw + 1 - ww_) // 2
+    cout_g = cout // groups
+    gx, gw, gb = np.zeros_like(x), np.zeros_like(w), np.zeros(cout)
+    for bi in range(bsz):
+        for oy in range(ho):
+            for ox in range(wo):
+                for co in range(cout):
+                    gv = g[bi, oy, ox, co]
+                    gb[co] += gv
+                    for i in range(kh):
+                        for j in range(kw):
+                            sy = oy * sh - pt + i * dh
+                            sx = ox * sw - plft + j * dw
+                            if sy < 0 or sy >= hh or sx < 0 or sx >= ww_:
+                                continue
+                            for ci in range(cin_g):
+                                c = (co // cout_g) * cin_g + ci
+                                gx[bi, sy, sx, c] += gv * w[i, j, ci, co]
+                                gw[i, j, ci, co] += gv * x[bi, sy, sx, c]
+    return gx, gw, gb
+
+
 def conv1d_depthwise_grads_ref(x, w, b, g, dilation=1):
     """Depthwise same-padded conv1d and its grads for the cotangent ``g``.
 

@@ -279,6 +279,7 @@ def test_05_size_accounting(capsys):
 # 06: overfit smoke
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_06_overfit_smoke(tmp_path):
     data = tmp_path / "pair"
     synth_dataset(1, seed=0, out_dir=data, duration_s=3.0)

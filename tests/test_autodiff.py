@@ -8,8 +8,8 @@ import densetsnet.autodiff as ad
 from densetsnet.autodiff import Tensor, backward, grad_check, tensor
 from densetsnet.errors import GraphError, NumericalError, ShapeError
 
-from helpers import (closure_tensors, conv1d_depthwise_grads_ref, conv1d_ref, conv2d_ref,
-                     instance_norm_grads_ref)
+from helpers import (closure_tensors, conv1d_depthwise_grads_ref, conv1d_ref, conv2d_grads_ref,
+                     conv2d_ref, instance_norm_grads_ref)
 
 N_SEEDS = 100
 
@@ -147,10 +147,10 @@ def test_conv1d_fft_and_tap_paths_agree():
         x = rng.standard_normal((2, length, c))
         w = rng.standard_normal((k, 1, c))
         b = rng.standard_normal(c)
-        pl, _ = ad._same_pad_1d(k, 1)
+        pl = (k - 1) // 2
         xp = np.pad(x, ((0, 0), (pl, (k - 1) - pl), (0, 0)))
         fast = ad._conv1d_dw_fft(Tensor(x), Tensor(w), Tensor(b), xp, length, pl).data
-        slow = ad._conv1d_dw_taps(Tensor(x), Tensor(w), Tensor(b), pl, 1).data
+        slow, _ = ad._depthwise_taps(x, w[:, 0, :], b, (1,), True)
         assert np.max(np.abs(fast - slow)) < 1e-10
 
 
@@ -457,6 +457,50 @@ def test_conv1d_depthwise_taps_grads_match_kept_state_oracle():
         want = conv1d_depthwise_grads_ref(x.data, w.data, b.data, r, dilation)
         for g, ref in zip(got, want):
             np.testing.assert_array_equal(g, ref)
+
+
+# case -> (x shape, w shape, keyword arguments); the part before "/" names the conv
+_CONV_GRAD_CASES = {
+    "conv1d/grouped_dilated": ((2, 9, 6), (3, 3, 4), dict(groups=2, dilation=2)),
+    "conv1d/even_kernel": ((2, 9, 3), (4, 3, 2), {}),
+    "conv1d/pointwise": ((2, 7, 3), (1, 3, 5), {}),
+    "conv1d/depthwise_taps": ((2, 11, 4), (3, 1, 4), dict(groups=4, dilation=2)),
+    "conv1d/depthwise_fft": ((2, 12, 3), (9, 1, 3), dict(groups=3)),
+    "conv2d/stride2": ((2, 7, 6, 3), (3, 3, 3, 4), dict(stride=(2, 2))),
+    "conv2d/dilation21": ((2, 7, 6, 3), (3, 3, 3, 4), dict(dilation=(2, 1))),
+    "conv2d_pointwise": ((2, 5, 4, 3), (3, 6), {}),
+    "conv2d_depthwise": ((2, 6, 5, 3), (3, 3, 3), {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONV_GRAD_CASES))
+def test_conv_grads_match_nested_loop_oracle(name):
+    """Every public conv's (gx, gw, gb) against the nested-loop reference in
+    float64, so the backward passes are checked tighter than by finite
+    differences."""
+    xs, ws, kw = _CONV_GRAD_CASES[name]
+    rng = np.random.default_rng(32)
+    x, w, b = leaf(rng, *xs), leaf(rng, *ws), leaf(rng, ws[-1])
+    op = name.split("/")[0]
+    out = getattr(ad, op)(x, w, b, **kw)
+    r = rng.standard_normal(out.shape)
+    got = _grads_for(r, out, (x, w, b))
+    if op == "conv1d":  # a 1-D conv is a 2-D conv over (L, 1)
+        gx, gw, gb = conv2d_grads_ref(x.data[:, :, None], w.data[:, None], r[:, :, None],
+                                      dilation=(kw.get("dilation", 1), 1),
+                                      groups=kw.get("groups", 1))
+        want = gx[:, :, 0], gw[:, 0], gb
+    elif op == "conv2d_pointwise":
+        gx, gw, gb = conv2d_grads_ref(x.data, w.data[None, None], r)
+        want = gx, gw[0, 0], gb
+    elif op == "conv2d_depthwise":
+        gx, gw, gb = conv2d_grads_ref(x.data, w.data[:, :, None], r, groups=xs[-1])
+        want = gx, gw[:, :, 0], gb
+    else:
+        want = conv2d_grads_ref(x.data, w.data, r, **kw)
+    for part, g, ref in zip("xwb", got, want):
+        assert g.shape == ref.shape, part
+        assert np.max(np.abs(g - ref)) < 1e-10, part
 
 
 def test_grad_property_sweep_random_composites():
@@ -794,3 +838,33 @@ def test_mul_binds_only_what_the_taped_operands_grad_reads(taped):
     grads = out._backward(g)
     assert grads[1 - taped] is None
     assert np.array_equal(grads[taped], g * c.data)
+
+
+# The FFT depthwise path is left out: only the model's large-kernel convs
+# take it, and their input is always on the tape.
+_CONSTANT_OPERAND_CASES = [("add", 0), ("add", 1), ("sub", 0), ("sub", 1)] + [
+    (name, 0) for name in sorted(_F32_CASES)
+    if name.startswith("conv") and name != "conv1d/depthwise_fft"]
+
+
+@pytest.mark.parametrize("name,const", _CONSTANT_OPERAND_CASES)
+def test_closure_builds_no_grad_for_a_constant_operand(name, const):
+    """As in mul: an operand off the tape gets None from the closure, not a
+    grad that backward drops (the model's first conv reads the constant
+    noisy magnitude, the discriminator a detached estimate).  The grads of
+    the taped operands are those of an all-taped call, bit for bit."""
+    grads = {}
+    for taped in (True, False):
+        rng = np.random.default_rng(44)
+        made = []
+
+        def mk(*shape):
+            made.append(Tensor(rng.standard_normal(shape),
+                               requires_grad=taped or len(made) != const))
+            return made[-1]
+        out, _ = _F32_CASES[name](mk)
+        grads[taped] = out._backward(np.random.default_rng(45).standard_normal(out.shape))
+    assert grads[True][const] is not None and grads[False][const] is None
+    for i, (got, want) in enumerate(zip(grads[False], grads[True])):
+        if i != const:
+            assert np.array_equal(got, want), i

@@ -27,14 +27,17 @@ BatchNorm"):
   operands, which the ops that made them hold already, and recomputes
   ``x * ch``.
 
-Every convolution runs on one of three kernels.  Two work on arrays and
-return an output and its backward, so ``norm_pointwise_gate`` runs its 1x1
-product on one: ``_dense_taps`` does one matmul per tap and group over a
-zero-padded copy of the input, and ``_depthwise_taps`` adds shifted slices
-of the unpadded input per channel, for ``conv2d_depthwise`` and the
-depthwise ``conv1d``.  Both build an input grad only for an input that
-takes grad.  A depthwise ``conv1d`` of 9 or more undilated taps switches
-to the third, ``_conv1d_dw_fft``, a correlation by FFT along L.
+Every convolution runs on one of three kernels, which share one protocol:
+each takes arrays, works out its own SAME padding, and returns an output
+and its backward, which builds an input grad only for an input that takes
+grad.  ``_dense_taps`` does one matmul per tap and group over a
+zero-padded copy of the input; ``_depthwise_taps`` adds shifted slices of
+the unpadded input per channel, for ``conv2d_depthwise`` and the depthwise
+``conv1d``; and ``_fft_taps`` correlates by FFT along L, for a depthwise
+``conv1d`` of 9 or more undilated taps, where measurement puts the FFT
+ahead of the taps.  All four public convs record through one node,
+``_conv_node``, which checks the bias against the weight's Cout axis.
+``norm_pointwise_gate`` runs its 1x1 product on ``_dense_taps`` directly.
 
 ``backward`` walks the records once in reverse topological order and
 consumes them as it goes: each record drops its parents and its closure as
@@ -67,7 +70,7 @@ import numpy as np
 from .errors import GraphError, NumericalError, ShapeError
 
 __all__ = [
-    "Tensor", "tensor", "constant", "backward", "grad_check", "no_grad",
+    "Tensor", "tensor", "backward", "grad_check", "no_grad",
     "add", "sub", "mul", "scale", "mul_const", "square", "sigmoid",
     "hardswish", "simple_gate", "learnable_sigmoid", "channel_scale", "gated_product",
     "reshape", "transpose", "concat_last", "split_last", "slice_last",
@@ -135,9 +138,6 @@ class Tensor:
         """Same data, cut loose from the graph; gradients stop here."""
         return Tensor(self.data, requires_grad=False)
 
-    def backward(self):
-        backward(self)
-
     # Operator sugar; the named functions below are the real op set.
     def __add__(self, other):
         return add(self, other)
@@ -158,10 +158,6 @@ def tensor(data, requires_grad=False, dtype=np.float64):
     if not np.all(np.isfinite(arr)):
         raise NumericalError("tensor data contains NaN or Inf")
     return Tensor(arr, requires_grad=requires_grad)
-
-
-def constant(data, dtype=np.float64):
-    return tensor(data, requires_grad=False, dtype=dtype)
 
 
 class no_grad:
@@ -679,13 +675,18 @@ def _depthwise_taps(x, w, b, dilation, want_gx):
     return out, bwd
 
 
-def _conv_node(x, w, b, taps):
-    """Record a conv whose kernel saw a view of ``w``; gw takes its shape back."""
-    out, taps_bwd = taps
+def _conv_node(op, x, w, b, kernel, wk, *args):
+    """Check ``b`` against w's last (Cout) axis, run ``kernel`` on the arrays
+    (``wk`` the view of ``w`` it takes) and record the node; gw takes w's
+    shape back."""
+    cout = w.shape[-1]
+    if b.shape != (cout,):
+        raise ShapeError(f"{op} bias has shape {b.shape}, expected ({cout},)")
+    out, kernel_bwd = kernel(x.data, wk, b.data, *args, x.requires_grad)
     shape = w.shape
 
     def bwd(g):
-        gx, gw, gb = taps_bwd(g)
+        gx, gw, gb = kernel_bwd(g)
         return gx, gw.reshape(shape), gb
     return _make(out, (x, w, b), bwd)
 
@@ -708,19 +709,11 @@ def conv1d(x, w, b, groups=1, dilation=1):
     if cin_g != cin // groups:
         raise ShapeError(
             f"conv1d weight dim 1 is {cin_g}, expected Cin/groups = {cin // groups}")
-    if b.shape != (cout,):
-        raise ShapeError(f"conv1d bias has shape {b.shape}, expected ({cout},)")
-
-    depthwise = groups == cin and cout == cin
-    if depthwise and dilation == 1 and k >= 9 and length >= 2:
-        pl = (k - 1) // 2
-        xp = np.pad(x.data, ((0, 0), (pl, k - 1 - pl), (0, 0)))
-        return _conv1d_dw_fft(x, w, b, xp, length, pl)
-    if depthwise:
-        taps = _depthwise_taps(x.data, w.data[:, 0, :], b.data, (dilation,), x.requires_grad)
-    else:
-        taps = _dense_taps(x.data, w.data, b.data, (1,), (dilation,), groups, x.requires_grad)
-    return _conv_node(x, w, b, taps)
+    if groups == cin and cout == cin:  # depthwise
+        if dilation == 1 and k >= 9 and length >= 2:
+            return _conv_node("conv1d", x, w, b, _fft_taps, w.data[:, 0, :])
+        return _conv_node("conv1d", x, w, b, _depthwise_taps, w.data[:, 0, :], (dilation,))
+    return _conv_node("conv1d", x, w, b, _dense_taps, w.data, (1,), (dilation,), groups)
 
 
 def _next_fast_len(n):
@@ -735,7 +728,9 @@ def _next_fast_len(n):
         n += 1
 
 
-def _conv1d_dw_fft(x, w, b, xp, length, pl):
+def _fft_taps(x, w, b, want_gx):
+    """Depthwise SAME cross-correlation along L of x (N, L, C) with w (K, C)
+    plus b (C,) by FFT, as ``_depthwise_taps``."""
     # Linear correlation via FFT along L; any transform size >= L + K - 1
     # is wrap-free for taps 0..K-1, so round up to a fast composite.
     # numpy 2's np.fft.rfft passes its default scale as a Python int, which
@@ -745,23 +740,23 @@ def _conv1d_dw_fft(x, w, b, xp, length, pl):
     # each carry 1/sqrt(nf), so the weight grad's inverse adds no 1/nf.
     dtype = x.dtype
     norm, gw_norm = ("backward", "backward") if dtype == np.float64 else ("ortho", "forward")
-    k = w.shape[0]
-    wk = w.data[:, 0, :]  # (K, C)
+    length, k = x.shape[1], w.shape[0]
+    pl = (k - 1) // 2
     nf = _next_fast_len(length + k - 1)
-    xf = np.fft.rfft(xp, n=nf, axis=1, norm=norm)
-    wf = np.fft.rfft(wk, n=nf, axis=0)
+    xf = np.fft.rfft(np.pad(x, ((0, 0), (pl, k - 1 - pl), (0, 0))), n=nf, axis=1, norm=norm)
+    wf = np.fft.rfft(w, n=nf, axis=0)
     out = np.fft.irfft(xf * np.conj(wf)[None], n=nf, axis=1, norm=norm)[:, :length, :]
-    out = out.astype(dtype, copy=False) + b.data
+    out = out.astype(dtype, copy=False) + b
 
     def bwd(g):
         gf = np.fft.rfft(g, n=nf, axis=1, norm=norm)
-        gx_pad = np.fft.irfft(gf * wf[None], n=nf, axis=1, norm=norm)
-        gx = np.ascontiguousarray(gx_pad[:, pl:pl + length, :]).astype(dtype, copy=False)
+        gx = None
+        if want_gx:
+            gx_pad = np.fft.irfft(gf * wf[None], n=nf, axis=1, norm=norm)
+            gx = np.ascontiguousarray(gx_pad[:, pl:pl + length, :]).astype(dtype, copy=False)
         gw = np.fft.irfft((xf * np.conj(gf)).sum(axis=0), n=nf, axis=0, norm=gw_norm)[:k, :]
-        gw = gw.astype(dtype, copy=False)[:, None, :]
-        gb = g.sum(axis=(0, 1))
-        return gx, gw, gb
-    return _make(out, (x, w, b), bwd)
+        return gx, gw.astype(dtype, copy=False), g.sum(axis=(0, 1))
+    return out, bwd
 
 
 def conv2d_pointwise(x, w, b):
@@ -772,10 +767,8 @@ def conv2d_pointwise(x, w, b):
     if x.shape[-1] != cin:
         raise ShapeError(
             f"conv2d_pointwise channel mismatch: input Cin={x.shape[-1]}, weight Cin={cin}")
-    if b.shape != (cout,):
-        raise ShapeError(f"conv2d_pointwise bias has shape {b.shape}, expected ({cout},)")
-    return _conv_node(x, w, b, _dense_taps(x.data, w.data.reshape(1, 1, cin, cout), b.data,
-                                           (1, 1), (1, 1), 1, x.requires_grad))
+    return _conv_node("conv2d_pointwise", x, w, b, _dense_taps,
+                      w.data.reshape(1, 1, cin, cout), (1, 1), (1, 1), 1)
 
 
 def conv2d(x, w, b, stride=(1, 1), dilation=(1, 1)):
@@ -790,8 +783,7 @@ def conv2d(x, w, b, stride=(1, 1), dilation=(1, 1)):
     _, _, wcin, _ = w.shape
     if wcin != cin:
         raise ShapeError(f"conv2d channel mismatch: input Cin={cin}, weight Cin={wcin}")
-    return _conv_node(x, w, b, _dense_taps(x.data, w.data, b.data, tuple(stride),
-                                           tuple(dilation), 1, x.requires_grad))
+    return _conv_node("conv2d", x, w, b, _dense_taps, w.data, tuple(stride), tuple(dilation), 1)
 
 
 def conv2d_depthwise(x, w, b):
@@ -802,7 +794,7 @@ def conv2d_depthwise(x, w, b):
     _, _, wc = w.shape
     if wc != c:
         raise ShapeError(f"conv2d_depthwise channel mismatch: input C={c}, weight C={wc}")
-    return _conv_node(x, w, b, _depthwise_taps(x.data, w.data, b.data, (1, 1), x.requires_grad))
+    return _conv_node("conv2d_depthwise", x, w, b, _depthwise_taps, w.data, (1, 1))
 
 
 def _norm_core(x, gamma, beta, eps, op="instance_norm"):

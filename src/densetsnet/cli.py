@@ -162,23 +162,20 @@ def cmd_enhance(args) -> int:
         if not names:
             raise DataError(f"no .wav files in {in_path}")
         out_path.mkdir(parents=True, exist_ok=True)
-        for name in names:
-            target = out_path / name
-            if target.exists() and not args.force:
-                raise DataError(f"{target} exists; use --force to overwrite")
-            _enhance_one(model, stft_cfg, in_path / name, target)
-        written = [out_path / name for name in names]
+        pairs = [(in_path / name, out_path / name) for name in names]
         done = f"enhanced {len(names)} files into {out_path}"
-    else:
-        if not in_path.exists():
-            raise DataError(f"input not found: {in_path}")
-        if out_path.exists() and not args.force:
-            raise DataError(f"{out_path} exists; use --force to overwrite")
-        _enhance_one(model, stft_cfg, in_path, out_path)
-        written = [out_path]
+    elif in_path.exists():
+        pairs = [(in_path, out_path)]
         done = f"enhanced {in_path} -> {out_path}"
+    else:
+        raise DataError(f"input not found: {in_path}")
+    for _, target in pairs:  # all before any is written
+        if target.exists() and not args.force:
+            raise DataError(f"{target} exists; use --force to overwrite")
+    for source, target in pairs:
+        _enhance_one(model, stft_cfg, source, target)
     cpu_s = time.process_time() - cpu0
-    audio_s = sum(wav_seconds(p) for p in written)  # > 0: a clip is at least one window
+    audio_s = sum(wav_seconds(target) for _, target in pairs)  # > 0: a clip is at least one window
     print(f"{done} ({model.store.dtype}, {audio_s:.2f} s of audio, "
           f"CPU real-time factor {cpu_s / audio_s:.3f})")
     return 0

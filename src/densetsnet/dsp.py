@@ -75,11 +75,8 @@ def cola_deviation(window: np.ndarray, hop: int) -> float:
     measured over one interior period."""
     n = window.shape[0]
     reps = 2 * (n // hop) + 4
-    acc = np.zeros(n + reps * hop)
-    sq = window * window
-    for m in range(reps):
-        acc[m * hop: m * hop + n] += sq
-    interior = acc[n: reps * hop - n + n]
+    sq = np.broadcast_to(window * window, (1, reps, n))
+    interior = _overlap_add(sq, hop, n + reps * hop)[0, n:reps * hop]
     if interior.size == 0:
         raise ConfigError("window/hop combination leaves no interior samples for the COLA check")
     return float(np.max(np.abs(interior - interior.mean())))
@@ -120,10 +117,9 @@ def wrap_phase(p: np.ndarray) -> np.ndarray:
     return np.where(out == -np.pi, np.pi, out)
 
 
-# Per-config basis cache: cosine/sine analysis matrices, inverse weights,
-# and the overlap-added squared-window normalizer per signal length.
+# Per-config basis cache: cosine/sine analysis matrices and inverse weights.
+# Nothing is kept per signal length.
 _BASIS: dict = {}
-_WSUM: dict = {}
 
 
 def _basis(cfg: StftConfig):
@@ -147,30 +143,20 @@ def _frame_index(t: int, hop: int, n: int):
 
 
 def _overlap_add(frames: np.ndarray, hop: int, out_len: int) -> np.ndarray:
+    """Sum frames (B, T, N) placed ``hop`` apart into (B, out_len)."""
     b, t, n = frames.shape
-    out = np.zeros((b, out_len), dtype=frames.dtype)
-    if n % hop == 0:
-        # frames with the same offset mod n/hop tile without overlap
-        g = n // hop
-        for r in range(min(g, t)):
-            sub = frames[:, r::g, :]
-            tr = sub.shape[1]
-            out[:, r * hop: r * hop + tr * n] += sub.reshape(b, tr * n)
-    else:
-        for ti in range(t):
-            out[:, ti * hop: ti * hop + n] += frames[:, ti]
-    return out
-
-
-def _window_sum(cfg: StftConfig, padded_len: int, t: int) -> np.ndarray:
-    key = (cfg._key(), padded_len, t)
-    hit = _WSUM.get(key)
-    if hit is None:
-        sq = (cfg.window * cfg.window)[None, None, :]
-        tiled = np.broadcast_to(sq, (1, t, cfg.n_fft))
-        hit = np.maximum(_overlap_add(tiled, cfg.hop, padded_len)[0], 1e-10)
-        _WSUM[key] = hit
-    return hit
+    # zero-extended to a width of g hops, the frames r, r + g, r + 2g, ...
+    # tile without overlap, so each residue r is one strided add
+    g = -(-n // hop)
+    width = g * hop
+    if width != n:
+        frames = np.pad(frames, ((0, 0), (0, 0), (0, width - n)))
+    out = np.zeros((b, max(out_len, (t - 1) * hop + width)), dtype=frames.dtype)
+    for r in range(min(g, t)):
+        sub = frames[:, r::g, :]
+        tr = sub.shape[1]
+        out[:, r * hop: r * hop + tr * width] += sub.reshape(b, tr * width)
+    return out[:, :out_len]
 
 
 def _check_len(n_samples: int, cfg: StftConfig):
@@ -204,18 +190,14 @@ def stft_pair(x: Tensor, cfg: StftConfig):
         gx[:, length - 1 - pad:length - 1] += gxp[:, pad + length:][:, ::-1]
         return gx
 
-    def scatter(gfw):
-        return _overlap_add(gfw, hop, length + 2 * pad)
+    def bwd_through(basis, window):
+        def bwd(g):
+            gfw = (g.reshape(b * t, -1) @ basis.T).reshape(b, t, n) * window
+            return (fold_pad(_overlap_add(gfw, hop, length + 2 * pad)),)
+        return bwd
 
-    def bwd_re(g):
-        gfw = (g.reshape(b * t, -1) @ cos.T).reshape(b, t, n) * w
-        return (fold_pad(scatter(gfw)),)
-
-    def bwd_im(g):
-        gfw = -(g.reshape(b * t, -1) @ sin.T).reshape(b, t, n) * w
-        return (fold_pad(scatter(gfw)),)
-
-    return _make(re, (x,), bwd_re), _make(im, (x,), bwd_im)
+    # im = -(frames @ sin), so its backward negates the window: an exact sign flip
+    return _make(re, (x,), bwd_through(cos, w)), _make(im, (x,), bwd_through(sin, -w))
 
 
 def istft_pair(re: Tensor, im: Tensor, cfg: StftConfig, out_len: int) -> Tensor:
@@ -234,8 +216,8 @@ def istft_pair(re: Tensor, im: Tensor, cfg: StftConfig, out_len: int) -> Tensor:
     _, _, cos_inv, sin_inv = _basis(cfg)
     w = cfg.window
     padded = out_len + 2 * pad
-    wsum = _window_sum(cfg, padded, t)
-    norm = wsum[pad:pad + out_len]
+    sq = np.broadcast_to(w * w, (1, t, n))
+    norm = np.maximum(_overlap_add(sq, hop, padded)[0, pad:pad + out_len], 1e-10)
 
     frames = (re.data.reshape(b * t, f) @ cos_inv.T
               - im.data.reshape(b * t, f) @ sin_inv.T).reshape(b, t, n)

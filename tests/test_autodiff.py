@@ -145,13 +145,15 @@ def test_conv1d_fft_and_tap_paths_agree():
         length = int(rng.integers(2, 90))
         k = int(rng.choice([9, 15, 31]))
         x = rng.standard_normal((2, length, c))
-        w = rng.standard_normal((k, 1, c))
+        w = rng.standard_normal((k, c))
         b = rng.standard_normal(c)
-        pl = (k - 1) // 2
-        xp = np.pad(x, ((0, 0), (pl, (k - 1) - pl), (0, 0)))
-        fast = ad._conv1d_dw_fft(Tensor(x), Tensor(w), Tensor(b), xp, length, pl).data
-        slow, _ = ad._depthwise_taps(x, w[:, 0, :], b, (1,), True)
+        fast, fast_bwd = ad._fft_taps(x, w, b, True)
+        slow, slow_bwd = ad._depthwise_taps(x, w, b, (1,), True)
         assert np.max(np.abs(fast - slow)) < 1e-10
+        g = rng.standard_normal(fast.shape)
+        for got, want in zip(fast_bwd(g), slow_bwd(g)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) < 1e-10
 
 
 def test_conv2d_matches_loop_oracle():
@@ -781,7 +783,7 @@ _F32_CASES = {
 
 
 def test_float32_cases_cover_every_public_op():
-    not_ops = {"Tensor", "tensor", "constant", "backward", "grad_check", "no_grad"}
+    not_ops = {"Tensor", "tensor", "backward", "grad_check", "no_grad"}
     assert {name.split("/")[0] for name in _F32_CASES} == set(ad.__all__) - not_ops
 
 
@@ -840,11 +842,9 @@ def test_mul_binds_only_what_the_taped_operands_grad_reads(taped):
     assert np.array_equal(grads[taped], g * c.data)
 
 
-# The FFT depthwise path is left out: only the model's large-kernel convs
-# take it, and their input is always on the tape.
+_CONV_CASES = [name for name in sorted(_F32_CASES) if name.startswith("conv")]
 _CONSTANT_OPERAND_CASES = [("add", 0), ("add", 1), ("sub", 0), ("sub", 1)] + [
-    (name, 0) for name in sorted(_F32_CASES)
-    if name.startswith("conv") and name != "conv1d/depthwise_fft"]
+    (name, 0) for name in _CONV_CASES]
 
 
 @pytest.mark.parametrize("name,const", _CONSTANT_OPERAND_CASES)
@@ -868,3 +868,19 @@ def test_closure_builds_no_grad_for_a_constant_operand(name, const):
     for i, (got, want) in enumerate(zip(grads[False], grads[True])):
         if i != const:
             assert np.array_equal(got, want), i
+
+
+@pytest.mark.parametrize("name", _CONV_CASES)
+def test_conv_rejects_a_bias_that_does_not_match_cout(name):
+    """Every conv, on every kernel, checks its bias against the weight's Cout
+    axis: a (1,) bias would otherwise broadcast in the forward and come back
+    with a (Cout,) grad."""
+    rng = np.random.default_rng(46)
+    made = []
+
+    def mk(*shape):  # the cases make x, w, b in that order
+        made.append(shape)
+        return Tensor(rng.standard_normal((1,) if len(made) == 3 else shape),
+                      requires_grad=True)
+    with pytest.raises(ShapeError, match="bias has shape"):
+        _F32_CASES[name](mk)

@@ -232,6 +232,20 @@ def test_enhance_directory(trained, tmp_path, capsys):
     assert names == ["utt000.wav", "utt001.wav"]
 
 
+def test_enhance_directory_checks_every_target_before_writing(trained, tmp_path, capsys):
+    out_dir = tmp_path / "enh"
+    out_dir.mkdir()
+    (out_dir / "utt001.wav").write_bytes(b"stale")
+    argv = ["enhance", "--ckpt", str(trained["ckpt"]),
+            "--in", str(trained["noisy"]), "--out", str(out_dir)]
+    assert main(argv) == 3
+    assert "utt001.wav exists" in capsys.readouterr().err
+    assert sorted(p.name for p in out_dir.iterdir()) == ["utt001.wav"]
+    assert main(argv + ["--force"]) == 0
+    for name in ("utt000.wav", "utt001.wav"):
+        assert len(wav_read(out_dir / name)) == len(wav_read(trained["noisy"] / name))
+
+
 def test_enhance_reports_precision_audio_and_rtf(trained, tmp_path, capsys):
     rc = main(["enhance", "--ckpt", str(trained["ckpt"]),
                "--in", str(trained["noisy"]), "--out", str(tmp_path / "enh")])

@@ -87,6 +87,63 @@ def test_round_trip_non_multiple_length():
     assert snr_db(x, y) > 60.0
 
 
+# n_fft is not a multiple of hop here, so overlap-add zero-extends each
+# frame to one before tiling
+CFG_512 = StftConfig(n_fft=512, win_length=400, hop=100)
+
+
+def test_non_multiple_nfft_matches_fft_oracles_and_round_trips():
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal(1937) * 0.3
+    re, im = stft_pair(Tensor(x[None, :]), CFG_512)
+    want = stft_ref(x, CFG_512.n_fft, CFG_512.hop, CFG_512.window)
+    assert re.shape == (1, 20, 257)
+    assert np.max(np.abs(re.data[0] - want.real)) < 1e-10
+    assert np.max(np.abs(im.data[0] - want.imag)) < 1e-10
+    spec = stft_ref(rng.standard_normal(1937), CFG_512.n_fft, CFG_512.hop, CFG_512.window)
+    got = istft_pair(Tensor(spec.real[None]), Tensor(spec.imag[None]), CFG_512, 1937).data[0]
+    want = istft_ref(spec, 1937, CFG_512.n_fft, CFG_512.hop, CFG_512.window)
+    assert np.max(np.abs(got - want)) < 1e-10
+    y = istft_pair(re, im, CFG_512, 1937).data[0]
+    assert snr_db(x, y) > 60.0
+
+
+def test_non_multiple_nfft_adjoints():
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.standard_normal((2, 1111)), requires_grad=True)
+    re, im = stft_pair(x, CFG_512)
+    y = istft_pair(re, im, CFG_512, 1111)
+    probe = rng.standard_normal(y.shape)
+    backward(ad.sum_all(ad.mul_const(y, probe)))
+    # synthesis after analysis is the identity on waveforms, and so is its adjoint
+    assert np.max(np.abs(y.data - x.data)) < 1e-10
+    assert np.max(np.abs(x.grad - probe)) < 1e-10
+
+
+def test_istft_keeps_no_per_length_state():
+    """Nothing allocated in dsp.py outlives an istft call once the
+    per-config basis is built: no cache grows with each new clip length."""
+    import tracemalloc
+
+    import densetsnet.dsp as dsp
+
+    def synth(n):
+        spec = Tensor(np.zeros((1, CFG.frame_count(n), CFG.n_bins)))
+        istft_pair(spec, spec, CFG, n)
+    synth(CFG.win_length)  # builds the basis
+    tracemalloc.start()
+    try:
+        for n in (1600, 2345, 4000, 16001):
+            synth(n)
+        snap = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    live = snap.filter_traces([tracemalloc.Filter(True, dsp.__file__)]).statistics("lineno")
+    # numpy may hold a freed block of a few bytes in its small-block cache;
+    # one cached window sum would be 8 * (1600 + 400) bytes
+    assert sum(stat.size for stat in live) < 1024, live
+
+
 def test_sine_concentrates_on_expected_bin():
     # 400 Hz at 16 kHz with a 400-point dft: bin = 400 * 400 / 16000 = 10
     t = np.arange(8000) / 16000

@@ -11,21 +11,27 @@ bind the arrays, shapes and dtypes they read, never a Tensor, and recompute
 cheap intermediates (a normalized input, a shifted slice) rather than hold
 them for the life of the tape.
 
-Three fused ops stand for compositions of the gaze block and match them
+Five fused ops stand for compositions of the gaze block and match them
 bit for bit, values and grads, with the same operations in the same order;
 each keeps less on the tape, after Chen et al. 2016 ("Training Deep Nets
 with Sublinear Memory Cost") and Rota Bulo et al. 2018 ("In-Place Activated
-BatchNorm"):
+BatchNorm").  Each backward recomputes only the maps its grads read:
 
 - ``norm_pointwise_gate`` is ``simple_gate(conv1d(instance_norm(...)))``
   for a kernel-1 conv.  It keeps only the normalized input ``xhat`` (and
   the per-channel ``1/std``); backward recomputes the affine output and
-  the 1x1 product.
+  the 1x1 product, which the gate's grad reads.
 - ``norm_hardswish`` is ``hardswish(instance_norm(...))``.  It keeps only
   ``xhat``, as ``instance_norm`` itself does.
-- ``gated_product(x, ch, sp)`` is ``mul(mul(x, ch), sp)``.  It keeps its
-  operands, which the ops that made them hold already, and recomputes
-  ``x * ch``.
+- ``norm_hardswish_pointwise`` is ``conv1d(norm_hardswish(...))`` for a
+  kernel-1 conv.  It keeps only ``xhat``; backward recomputes the conv's
+  input for the weight grad, but not the product.
+- ``pointwise_learnable_sigmoid`` is ``learnable_sigmoid(conv1d(...))``
+  for a kernel-1 conv.  It keeps its input and the sigmoid; backward
+  recomputes the product for the grad of ``alpha``.
+- ``gated_pointwise(x, ch, sp, w, b)`` is ``conv1d(mul(mul(x, ch), sp),
+  w, b)`` for a kernel-1 conv.  It keeps its operands, which the ops that
+  made them hold already, and recomputes ``x * ch`` and the conv's input.
 
 Every convolution runs on one of three kernels, which share one protocol:
 each takes arrays, works out its own SAME padding, and returns an output
@@ -37,7 +43,10 @@ the unpadded input per channel, for ``conv2d_depthwise`` and the depthwise
 ``conv1d`` of 9 or more undilated taps, where measurement puts the FFT
 ahead of the taps.  All four public convs record through one node,
 ``_conv_node``, which checks the bias against the weight's Cout axis.
-``norm_pointwise_gate`` runs its 1x1 product on ``_dense_taps`` directly.
+The fused ops run their 1x1 products on ``_dense_taps`` directly, and
+their backwards on ``_pointwise_backward``, the backward of its one-tap
+path, which starts from a given input and does not run the forward
+product again.
 
 ``backward`` walks the records once in reverse topological order and
 consumes them as it goes: each record drops its parents and its closure as
@@ -72,11 +81,12 @@ from .errors import GraphError, NumericalError, ShapeError
 __all__ = [
     "Tensor", "tensor", "backward", "grad_check", "no_grad",
     "add", "sub", "mul", "scale", "mul_const", "square", "sigmoid",
-    "hardswish", "simple_gate", "learnable_sigmoid", "channel_scale", "gated_product",
+    "hardswish", "simple_gate", "learnable_sigmoid", "channel_scale",
     "reshape", "transpose", "concat_last", "split_last", "slice_last",
     "mean", "mean_all", "sum_all", "complex_magnitude",
     "conv1d", "conv2d_pointwise", "conv2d", "conv2d_depthwise", "instance_norm",
-    "norm_hardswish", "norm_pointwise_gate",
+    "norm_hardswish", "norm_pointwise_gate", "norm_hardswish_pointwise",
+    "pointwise_learnable_sigmoid", "gated_pointwise",
 ]
 
 
@@ -350,35 +360,6 @@ def mul(a, b):
     return _make(da * db, (a, b), bwd)
 
 
-def gated_product(x, ch, sp):
-    """``mul(mul(x, ch), sp)`` as one node, bit for bit.
-
-    The closure keeps the operands the wanted grads read, which the ops
-    that made them keep anyway, and recomputes ``x * ch`` where the
-    composed ops keep it.
-    """
-    dx, dc, ds = x.data, ch.data, sp.data
-    sx, sc, ss = dx.shape, dc.shape, ds.shape
-    st = np.broadcast_shapes(sx, sc)
-    out = dx * dc * ds
-    # as in mul: bind each operand only if a wanted grad reads it
-    want_x, want_c, want_s = x.requires_grad, ch.requires_grad, sp.requires_grad
-    kx = dx if want_c or want_s else None
-    kc = dc if want_x or want_s else None
-    ks = ds if want_x or want_c else None
-
-    def bwd(g):
-        gx = gc = gs = None
-        if want_x or want_c:
-            gt = _unbroadcast(g * ks, st)
-            gx = _unbroadcast(gt * kc, sx) if want_x else None
-            gc = _unbroadcast(gt * kx, sc) if want_c else None
-        if want_s:
-            gs = _unbroadcast(g * (kx * kc), ss)
-        return gx, gc, gs
-    return _make(out, (x, ch, sp), bwd)
-
-
 def scale(x, c):
     """Multiply by a python scalar constant."""
     c = float(c)
@@ -469,6 +450,24 @@ def channel_scale(x, alpha):
     return _make(d * a, (x, alpha), bwd)
 
 
+def _scaled_sigmoid(d, a):
+    """sigmoid(d * a) in one buffer, in the tanh form of ``sigmoid``."""
+    s = d * a
+    s *= 0.5
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    return s
+
+
+def _scaled_sigmoid_grad(g, s, c):
+    """The cotangent of ``d * a`` for the cotangent ``g`` of ``c * s``."""
+    gs = g * c
+    gs *= s
+    gs *= 1.0 - s
+    return gs
+
+
 def learnable_sigmoid(x, alpha, beta=2.0):
     """beta * sigmoid(alpha_c * x) with a learnable per-channel alpha.
 
@@ -483,16 +482,10 @@ def learnable_sigmoid(x, alpha, beta=2.0):
             f"learnable_sigmoid alpha has shape {alpha.shape}, expected ({x.shape[-1]},)")
     c = float(beta)
     d, a = x.data, alpha.data
-    s = d * a
-    s *= 0.5
-    np.tanh(s, out=s)
-    s += 1.0
-    s *= 0.5
+    s = _scaled_sigmoid(d, a)
 
     def bwd(g):
-        gs = g * c
-        gs *= s
-        gs *= 1.0 - s
+        gs = _scaled_sigmoid_grad(g, s, c)
         ga = (gs * d).reshape(-1, d.shape[-1]).sum(axis=0)
         return gs * a, ga
     return _make(s if c == 1.0 else s * c, (x, alpha), bwd)
@@ -621,26 +614,43 @@ def _dense_taps(x, w, b, stride, dilation, groups, want_gx):
              .reshape(n, *osize, cout_g) for xs, os in chans]
     out = parts[0] if groups == 1 else np.concatenate(parts, axis=-1)
     out += b
-    # a 1x1 unpadded conv's input grad is its one tap's product
-    whole = groups == 1 and len(taps) == 1 and xp is x and osize == size
+    if groups == 1 and len(taps) == 1 and xp is x and osize == size:  # 1x1, unpadded
+
+        def bwd(g):
+            return _pointwise_backward(x, w, g, want_gx)
+        return out, bwd
     crop = (slice(None),) + tuple(slice(lo, lo + s) for (lo, _), s in zip(pads, size))
 
     def bwd(g):
         gw = np.empty_like(w)
-        gxp = np.zeros_like(xp) if want_gx and not whole else None
+        gxp = np.zeros_like(xp) if want_gx else None
         for xs, os in chans:
             gseg = g[..., os].reshape(-1, cout_g)
             for t, tap in taps:
                 gw[t + (os,)] = xp[tap + (xs,)].reshape(-1, cin_g).T @ gseg
                 if want_gx:
-                    gt = (gseg @ w[t + (os,)].T).reshape(n, *osize, cin_g)
-                    if whole:
-                        gxp = gt
-                    else:
-                        gxp[tap + (xs,)] += gt
+                    gxp[tap + (xs,)] += (gseg @ w[t + (os,)].T).reshape(n, *osize, cin_g)
         gx = np.ascontiguousarray(gxp[crop]) if want_gx else None
         return gx, gw, g.reshape(-1, cout).sum(axis=0)
     return out, bwd
+
+
+def _pointwise(x, w, b):
+    """The output of a 1x1 conv of x (N, L, Cin) with w (1, Cin, Cout) plus
+    b on ``_dense_taps``, without the backward, which would keep x alive."""
+    return _dense_taps(x, w, b, (1,), (1,), 1, False)[0]
+
+
+def _pointwise_backward(x, w, g, want_gx):
+    """``_dense_taps``'s backward for a 1x1 unpadded conv of one group, from
+    its input x (N, *S, Cin) and w (1, ..., 1, Cin, Cout): (gx, gw, gb), with
+    ``gx`` None unless ``want_gx``.  It reads x for the weight grad only,
+    so a fused op that recomputes x does not run the product again."""
+    cin, cout = w.shape[-2:]
+    gseg = g.reshape(-1, cout)
+    gw = (x.reshape(-1, cin).T @ gseg).astype(w.dtype, copy=False).reshape(w.shape)
+    gx = (gseg @ w.reshape(cin, cout).T).reshape(x.shape) if want_gx else None
+    return gx, gw, gseg.sum(axis=0)
 
 
 def _depthwise_taps(x, w, b, dilation, want_gx):
@@ -874,6 +884,20 @@ def norm_hardswish(x, gamma, beta, eps=1e-5):
     return _make(out, (x, gamma, beta), bwd)
 
 
+def _pointwise_cout(op, shape, w, b):
+    """Check a fused op's kernel-1 conv weight (1, C, Cout) and bias (Cout,)
+    against its input's ``shape`` (N, L, C); return Cout."""
+    if len(shape) != 3:
+        raise ShapeError(f"{op} input must be rank 3 (N, L, C), got rank {len(shape)}")
+    cin = shape[-1]
+    if w.ndim != 3 or w.shape[:2] != (1, cin):
+        raise ShapeError(f"{op} weight has shape {w.shape}, expected (1, {cin}, Cout)")
+    cout = w.shape[2]
+    if b.shape != (cout,):
+        raise ShapeError(f"{op} bias has shape {b.shape}, expected ({cout},)")
+    return cout
+
+
 def norm_pointwise_gate(x, gamma, beta, w, b, eps=1e-5):
     """``simple_gate(conv1d(instance_norm(x, gamma, beta), w, b))`` for a
     kernel-1 conv with ``w`` of shape (1, C, 2 * Cg), as one node, bit for bit.
@@ -883,39 +907,111 @@ def norm_pointwise_gate(x, gamma, beta, w, b, eps=1e-5):
     the affine output and the 1x1 product.
     """
     xhat, inv = _norm_core(x, gamma, beta, eps, "norm_pointwise_gate")
-    cin = x.shape[-1]
-    if w.ndim != 3 or w.shape[:2] != (1, cin):
-        raise ShapeError(
-            f"norm_pointwise_gate weight has shape {w.shape}, expected (1, {cin}, Cout)")
-    c2 = w.shape[2]
+    c2 = _pointwise_cout("norm_pointwise_gate", x.shape, w, b)
     if c2 % 2:
         raise ShapeError(f"norm_pointwise_gate needs an even Cout, got {c2}")
-    if b.shape != (c2,):
-        raise ShapeError(f"norm_pointwise_gate bias has shape {b.shape}, expected ({c2},)")
     c = c2 // 2
     gd, bd, wd, cb, dtype = gamma.data, beta.data, w.data, b.data, x.dtype
-
-    def product(y):
-        return _dense_taps(y, wd, cb, (1,), (1,), 1, True)
-
     y = _norm_affine(xhat, gd, bd, dtype)
     if not _records(x, gamma, beta, w, b):
         xhat = None  # nothing reads it again: free it before the product
-    z = product(y)[0]  # not the kernel's backward, which would keep y alive
+    z = _pointwise(y, wd, cb)
     del y
     out = z[..., :c] * z[..., c:]
     del z
 
     def bwd(g):
-        z, z_bwd = product(_norm_affine(xhat, gd, bd, dtype))
+        y = _norm_affine(xhat, gd, bd, dtype)
+        z = _pointwise(y, wd, cb)
         gz = np.empty(g.shape[:-1] + (c2,), np.result_type(g, z))
         np.multiply(g, z[..., c:], out=gz[..., :c])
         np.multiply(g, z[..., :c], out=gz[..., c:])
         del z
-        gy, gw, gb = z_bwd(gz)
-        del z_bwd, gz
+        gy, gw, gb = _pointwise_backward(y, wd, gz, True)
+        del y, gz
         return _norm_backward(gy, xhat, inv, gd, dtype) + (gw, gb)
     return _make(out, (x, gamma, beta, w, b), bwd)
+
+
+def norm_hardswish_pointwise(x, gamma, beta, w, b, eps=1e-5):
+    """``conv1d(norm_hardswish(x, gamma, beta), w, b)`` for a kernel-1 conv
+    with ``w`` of shape (1, C, Cout), as one node, bit for bit.
+
+    The closure keeps only ``xhat``, where the composed ops keep it and the
+    conv's input; backward recomputes the norm's output and its hardswish,
+    but not the 1x1 product, which no grad reads.
+    """
+    xhat, inv = _norm_core(x, gamma, beta, eps, "norm_hardswish_pointwise")
+    _pointwise_cout("norm_hardswish_pointwise", x.shape, w, b)
+    gd, bd, wd, cb, dtype = gamma.data, beta.data, w.data, b.data, x.dtype
+    h = _norm_affine(xhat, gd, bd, dtype)
+    if not _records(x, gamma, beta, w, b):
+        xhat = None  # nothing reads it again: free it before the product
+    h = _hardswish(h)
+    out = _pointwise(h, wd, cb)
+    del h
+
+    def bwd(g):
+        y = _norm_affine(xhat, gd, bd, dtype)
+        gy, gw, gb = _pointwise_backward(_hardswish(y), wd, g, True)
+        gy *= _hardswish_slope(y)
+        del y
+        return _norm_backward(gy, xhat, inv, gd, dtype) + (gw, gb)
+    return _make(out, (x, gamma, beta, w, b), bwd)
+
+
+def pointwise_learnable_sigmoid(x, w, b, alpha, beta=2.0):
+    """``learnable_sigmoid(conv1d(x, w, b), alpha, beta)`` for a kernel-1
+    conv with ``w`` of shape (1, C, Cout), as one node, bit for bit.
+
+    The closure keeps x and the sigmoid, where the composed ops also keep
+    the 1x1 product; backward recomputes the product only for the grad of
+    ``alpha``, the one grad that reads it.
+    """
+    cout = _pointwise_cout("pointwise_learnable_sigmoid", x.shape, w, b)
+    if alpha.shape != (cout,):
+        raise ShapeError(
+            f"pointwise_learnable_sigmoid alpha has shape {alpha.shape}, expected ({cout},)")
+    c = float(beta)
+    xd, wd, cb, a = x.data, w.data, b.data, alpha.data
+    want_x, want_a = x.requires_grad, alpha.requires_grad
+    s = _scaled_sigmoid(_pointwise(xd, wd, cb), a)
+
+    def bwd(g):
+        gs = _scaled_sigmoid_grad(g, s, c)
+        ga = (gs * _pointwise(xd, wd, cb)).reshape(-1, cout).sum(axis=0) if want_a else None
+        return _pointwise_backward(xd, wd, gs * a, want_x) + (ga,)
+    return _make(s if c == 1.0 else s * c, (x, w, b, alpha), bwd)
+
+
+def gated_pointwise(x, ch, sp, w, b):
+    """``conv1d(mul(mul(x, ch), sp), w, b)`` for a kernel-1 conv with ``w``
+    of shape (1, C, Cout), as one node, bit for bit.
+
+    The closure keeps the three operands, which the ops that made them keep
+    anyway, where the composed ops also keep ``x * ch`` and the conv's input
+    ``x * ch * sp``; backward recomputes both.  Only the operands that take
+    grad get one.
+    """
+    dx, dc, ds, wd, cb = x.data, ch.data, sp.data, w.data, b.data
+    sx, sc, ss = dx.shape, dc.shape, ds.shape
+    st = np.broadcast_shapes(sx, sc)
+    _pointwise_cout("gated_pointwise", np.broadcast_shapes(st, ss), w, b)
+    out = _pointwise(dx * dc * ds, wd, cb)
+    want_x, want_c, want_s = x.requires_grad, ch.requires_grad, sp.requires_grad
+
+    def bwd(g):
+        t = dx * dc
+        gy, gw, gb = _pointwise_backward(t * ds, wd, g, want_x or want_c or want_s)
+        gs = _unbroadcast(gy * t, ss) if want_s else None
+        del t
+        gx = gc = None
+        if want_x or want_c:
+            gt = _unbroadcast(gy * ds, st)
+            gx = _unbroadcast(gt * dc, sx) if want_x else None
+            gc = _unbroadcast(gt * dx, sc) if want_c else None
+        return gx, gc, gs, gw, gb
+    return _make(out, (x, ch, sp, w, b), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -121,21 +121,21 @@ def mvgb_forward(x: Tensor, p: MvgbParams) -> Tensor:
     if p.lke:
         g = ad.norm_pointwise_gate(x, p.norm_g, p.norm_b, p.lke["pw_in_w"], p.lke["pw_in_b"])
         g = ad.conv1d(g, p.lke["dw_w"], p.lke["dw_b"], groups=p.c)
-        g = ad.norm_hardswish(g, p.lke["norm_g"], p.lke["norm_b"])
-        g = ad.conv1d(g, p.lke["pw_out_w"], p.lke["pw_out_b"])
+        g = ad.norm_hardswish_pointwise(g, p.lke["norm_g"], p.lke["norm_b"],
+                                        p.lke["pw_out_w"], p.lke["pw_out_b"])
     else:
         g = ad.instance_norm(x, p.norm_g, p.norm_b)
     if p.ca:
         pooled = ad.mean(g, axis=1, keepdims=True)
         ch = ad.conv1d(pooled, p.ca["w"], p.ca["b"])
     if p.lsg:
-        s = ad.conv1d(g, p.lsg["dw_w"], p.lsg["dw_b"], groups=p.c)
-        s = ad.conv1d(s, p.lsg["pw_w"], p.lsg["pw_b"])
-        sp = ad.learnable_sigmoid(s, p.lsg["alpha"], beta=1.0)
-    y = g
+        sp = ad.conv1d(g, p.lsg["dw_w"], p.lsg["dw_b"], groups=p.c)
+        sp = ad.pointwise_learnable_sigmoid(sp, p.lsg["pw_w"], p.lsg["pw_b"], p.lsg["alpha"],
+                                            beta=1.0)
     if p.ca and p.lsg:
-        y = ad.gated_product(g, ch, sp)
-    elif p.ca:
+        return ad.add(x, ad.gated_pointwise(g, ch, sp, p.fuse_w, p.fuse_b))
+    y = g
+    if p.ca:
         y = ad.mul(g, ch)
     elif p.lsg:
         y = ad.mul(g, sp)
@@ -272,12 +272,12 @@ class DenseTsNet(_MaskNet):
         skip = x
         a = None
         for lay in self.layers:
+            if a is not None:  # no concatenation after the last layer: nothing reads it
+                skip = ad.concat_last([a, skip])
             if skip.shape[-1] != lay.cin:
                 raise ShapeError(
                     f"layer {lay.index}: expected {lay.cin} input channels, got {skip.shape[-1]}")
-            h = ts_mvgb_forward(skip, lay.p_time, lay.p_freq)
-            a = self._adjust(lay, h)
-            skip = ad.concat_last([a, skip])
+            a = self._adjust(lay, ts_mvgb_forward(skip, lay.p_time, lay.p_freq))
         out = ad.add(ad.scale(a, RESIDUAL_GAIN), x)
         return out, {"lifted": x, "trunk": out, "a_last": a}
 

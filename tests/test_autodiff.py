@@ -373,9 +373,15 @@ _FUSED = {
     "norm_hardswish": (
         lambda x, g, b: ad.hardswish(ad.instance_norm(x, g, b)),
         ((2, 9, 3), (3,), (3,))),
-    "gated_product": (
-        lambda x, ch, sp: ad.mul(ad.mul(x, ch), sp),
-        ((2, 9, 3), (2, 1, 3), (2, 9, 3))),
+    "norm_hardswish_pointwise": (
+        lambda x, g, b, w, c: ad.conv1d(ad.hardswish(ad.instance_norm(x, g, b)), w, c),
+        ((2, 9, 3), (3,), (3,), (1, 3, 4), (4,))),
+    "pointwise_learnable_sigmoid": (
+        lambda x, w, b, a: ad.learnable_sigmoid(ad.conv1d(x, w, b), a),
+        ((2, 9, 3), (1, 3, 4), (4,), (4,))),
+    "gated_pointwise": (
+        lambda x, ch, sp, w, b: ad.conv1d(ad.mul(ad.mul(x, ch), sp), w, b),
+        ((2, 9, 3), (2, 1, 3), (2, 9, 3), (1, 3, 4), (4,))),
 }
 
 
@@ -412,18 +418,43 @@ def test_fused_op_under_no_grad_gives_the_recorded_value(name):
     assert np.array_equal(bare.data, recorded.data)
 
 
-@pytest.mark.parametrize("taped", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1)])
+@pytest.mark.parametrize("taped", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1),
+                                   (0, 0, 0)])
 def test_gated_product_grads_only_its_taped_operands(taped):
-    arrays = _fused_operands("gated_product", np.float64)
+    """``gated_pointwise``'s closure builds a grad for an operand of the
+    gated product only if that operand is taped, and builds the weight and
+    bias grads of its 1x1 conv always, as the conv kernels do; each grad is
+    the composed ops', bit for bit."""
+    arrays = _fused_operands("gated_pointwise", np.float64)
     results = []
-    for op in (ad.gated_product, _FUSED["gated_product"][0]):
-        ops = [Tensor(a.copy(), requires_grad=bool(t)) for a, t in zip(arrays, taped)]
-        out = op(*ops)
-        _grads_for(np.ones(out.shape), out, ops)
-        results.append([t.grad for t in ops])
-    for fused, composed, t in zip(*results, taped):
+    for op in (ad.gated_pointwise, _FUSED["gated_pointwise"][0]):
+        leaves = [Tensor(a.copy(), requires_grad=bool(t)) for a, t in zip(arrays, taped)]
+        leaves += [Tensor(a.copy(), requires_grad=True) for a in arrays[3:]]
+        out = op(*leaves)
+        if op is ad.gated_pointwise:
+            built = out._backward(np.ones(out.shape))
+            assert [g is not None for g in built] == [bool(t) for t in taped] + [True, True]
+        _grads_for(np.ones(out.shape), out, leaves)
+        results.append([t.grad for t in leaves])
+    for fused, composed, t in zip(*results, taped + (1, 1)):
         assert (fused is None) == (composed is None) == (not t)
         assert fused is None or np.array_equal(fused, composed)
+
+
+@pytest.mark.parametrize("name,products", [
+    ("norm_pointwise_gate", 1), ("norm_hardswish_pointwise", 0),
+    ("pointwise_learnable_sigmoid", 1), ("gated_pointwise", 0)])
+def test_fused_backward_reruns_only_the_products_its_grads_read(name, products, monkeypatch):
+    """A 1x1 conv's weight grad reads its input, not its output, so a fused
+    backward runs the forward product again only where a grad reads that
+    output: the gate's, and alpha's."""
+    arrays = _fused_operands(name, np.float64)
+    out = getattr(ad, name)(*(Tensor(a, requires_grad=True) for a in arrays))
+    calls = []
+    product = ad._pointwise
+    monkeypatch.setattr(ad, "_pointwise", lambda *args: calls.append(args) or product(*args))
+    out._backward(np.ones(out.shape))
+    assert len(calls) == products
 
 
 def test_norm_pointwise_gate_rejects_bad_weights():
@@ -435,6 +466,29 @@ def test_norm_pointwise_gate_rejects_bad_weights():
         ad.norm_pointwise_gate(x, g, b, leaf(rng, 3, 3, 4), leaf(rng, 4))
     with pytest.raises(ShapeError, match="bias"):
         ad.norm_pointwise_gate(x, g, b, leaf(rng, 1, 3, 4), leaf(rng, 2))
+
+
+# fused op -> the error it names -> operand shapes with that one operand wrong
+_BAD_POINTWISE = {
+    "norm_hardswish_pointwise": {
+        "weight": ((2, 5, 3), (3,), (3,), (3, 3, 4), (4,)),
+        "bias": ((2, 5, 3), (3,), (3,), (1, 3, 4), (2,))},
+    "pointwise_learnable_sigmoid": {
+        "weight": ((2, 5, 3), (1, 4, 4), (4,), (4,)),
+        "bias": ((2, 5, 3), (1, 3, 4), (2,), (4,)),
+        "alpha": ((2, 5, 3), (1, 3, 4), (4,), (3,))},
+    "gated_pointwise": {
+        "weight": ((2, 5, 3), (2, 1, 3), (2, 5, 3), (1, 4, 4), (4,)),
+        "bias": ((2, 5, 3), (2, 1, 3), (2, 5, 3), (1, 3, 4), (2,))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_POINTWISE))
+def test_pointwise_fused_ops_reject_bad_weights(name):
+    rng = np.random.default_rng(35)
+    for what, shapes in _BAD_POINTWISE[name].items():
+        with pytest.raises(ShapeError, match=what):
+            getattr(ad, name)(*(leaf(rng, *s) for s in shapes))
 
 
 def test_instance_norm_grads_match_kept_state_oracle():
@@ -777,8 +831,15 @@ _F32_CASES = {
     "norm_pointwise_gate": lambda mk: (lambda x, g, b, w, c: (
         ad.norm_pointwise_gate(x, g, b, w, c), (x, g, b, w, c)))(
         mk(2, 7, 3), mk(3), mk(3), mk(1, 3, 4), mk(4)),
-    "gated_product": lambda mk: (lambda x, ch, sp: (ad.gated_product(x, ch, sp), (x, ch, sp)))(
-        mk(2, 3, 4), mk(2, 1, 4), mk(2, 3, 4)),
+    "norm_hardswish_pointwise": lambda mk: (lambda x, g, b, w, c: (
+        ad.norm_hardswish_pointwise(x, g, b, w, c), (x, g, b, w, c)))(
+        mk(2, 7, 3), mk(3), mk(3), mk(1, 3, 4), mk(4)),
+    "pointwise_learnable_sigmoid": lambda mk: (lambda x, w, b, a: (
+        ad.pointwise_learnable_sigmoid(x, w, b, a), (x, w, b, a)))(
+        mk(2, 7, 3), mk(1, 3, 4), mk(4), mk(4)),
+    "gated_pointwise": lambda mk: (lambda x, ch, sp, w, b: (
+        ad.gated_pointwise(x, ch, sp, w, b), (x, ch, sp, w, b)))(
+        mk(2, 3, 4), mk(2, 1, 4), mk(2, 3, 4), mk(1, 4, 3), mk(3)),
 }
 
 

@@ -196,6 +196,22 @@ def test_residual_decomposition_exact():
     assert np.array_equal(parts["trunk"].data, recon)
 
 
+def test_dense_trunk_concatenates_only_what_a_layer_reads(monkeypatch):
+    """Each layer after the first reads the concatenation of the one before;
+    none is built after the last layer.  A layer whose input width is wrong
+    is named in the ShapeError."""
+    calls = []
+    concat = ad.concat_last
+    monkeypatch.setattr(ad, "concat_last", lambda parts: calls.append(parts) or concat(parts))
+    model = DenseTsNet(ModelConfig(dense_channel=2, depth=3), SCFG)
+    mag = Tensor(np.abs(np.random.default_rng(5).standard_normal((1, 5, F_BINS))))
+    model.forward(mag, parts=True)
+    assert [sum(p.shape[-1] for p in parts) for parts in calls] == [4, 6]
+    model.layers[2].cin = 5
+    with pytest.raises(ShapeError, match="layer 3: expected 5 input channels, got 6"):
+        model.forward(mag)
+
+
 def test_zeroed_mixers_make_trunk_identity():
     # fuse and adjust weights at zero turn every layer into a pass-through,
     # so the trunk output must equal the lifted input bit for bit

@@ -148,16 +148,6 @@ class Tensor:
         """Same data, cut loose from the graph; gradients stop here."""
         return Tensor(self.data, requires_grad=False)
 
-    # Operator sugar; the named functions below are the real op set.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 

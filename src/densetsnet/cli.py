@@ -161,7 +161,8 @@ def cmd_enhance(args) -> int:
         names = sorted(p.name for p in in_path.glob("*.wav"))
         if not names:
             raise DataError(f"no .wav files in {in_path}")
-        out_path.mkdir(parents=True, exist_ok=True)
+        if not out_path.exists():
+            out_path.mkdir(parents=True)
         pairs = [(in_path / name, out_path / name) for name in names]
         done = f"enhanced {len(names)} files into {out_path}"
     elif in_path.exists():
@@ -170,6 +171,10 @@ def cmd_enhance(args) -> int:
     else:
         raise DataError(f"input not found: {in_path}")
     for _, target in pairs:  # all before any is written
+        if not target.parent.is_dir():
+            raise DataError(f"{target}: {target.parent} is not a directory")
+        if target.is_dir():
+            raise DataError(f"{target} is a directory, not a WAV file")
         if target.exists() and not args.force:
             raise DataError(f"{target} exists; use --force to overwrite")
     for source, target in pairs:

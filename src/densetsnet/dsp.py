@@ -26,7 +26,6 @@ class StftConfig:
     n_fft: int = 400
     win_length: int = 400
     hop: int = 100
-    sample_rate: int = 16000
     # magnitude feature exponent for the network input; 1.0 disables it
     compression: float = 1.0
     window: np.ndarray | None = field(default=None, repr=False)

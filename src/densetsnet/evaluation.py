@@ -113,16 +113,19 @@ class EvalReport:
 
     def write_csv(self, path):
         means = self.means()
-        with open(path, "w", newline="") as f:
-            f.write(f"# {PHASE_CONVENTION}\n")
-            f.write("# quality column: built-in proxy oracle unless stated otherwise (not PESQ)\n")
-            wr = csv.writer(f)
-            wr.writerow(["name", *self.METRICS])
-            for r in self.rows:
-                wr.writerow([r["name"]] + [_fmt(r.get(m)) for m in self.METRICS])
-            wr.writerow(["MEAN"] + [_fmt(means[m]) for m in self.METRICS])
-            for name, reason in self.exclusions:
-                wr.writerow([f"EXCLUDED:{name}", reason, "", "", "", ""])
+        try:
+            with open(path, "w", newline="") as f:
+                f.write(f"# {PHASE_CONVENTION}\n")
+                f.write("# quality column: built-in proxy oracle unless stated otherwise (not PESQ)\n")
+                wr = csv.writer(f)
+                wr.writerow(["name", *self.METRICS])
+                for r in self.rows:
+                    wr.writerow([r["name"]] + [_fmt(r.get(m)) for m in self.METRICS])
+                wr.writerow(["MEAN"] + [_fmt(means[m]) for m in self.METRICS])
+                for name, reason in self.exclusions:
+                    wr.writerow([f"EXCLUDED:{name}", reason, "", "", "", ""])
+        except OSError as e:
+            raise DataError(f"{path}: cannot write ({e.strerror or e})") from None
 
 
 def _fmt(v):

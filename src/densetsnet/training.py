@@ -250,11 +250,11 @@ def configs_from_echo(echo: dict):
 
 
 def _check_resume_echo(saved_echo: dict, echo: dict):
+    # the running config's keys only: a key the configs no longer have is ignored
     saved = {**config_echo(ModelConfig(), StftConfig(), TrainConfig()), **saved_echo}
-    bad = [k for k in sorted(saved.keys() | echo.keys())
-           if k not in RESUMABLE_KEYS and saved.get(k) != echo.get(k)]
+    bad = [k for k in sorted(echo) if k not in RESUMABLE_KEYS and saved[k] != echo[k]]
     if bad:
-        diffs = "; ".join(f"{k}={saved.get(k)!r} (now {echo.get(k)!r})" for k in bad)
+        diffs = "; ".join(f"{k}={saved[k]!r} (now {echo[k]!r})" for k in bad)
         raise ConfigError(f"checkpoint was trained with {diffs}; only "
                           f"{', '.join(RESUMABLE_KEYS)} may change on resume")
 
@@ -359,7 +359,8 @@ def train(model_cfg: ModelConfig, stft_cfg: StftConfig, train_cfg: TrainConfig,
 
     valid_items = _valid_items(dataset, seg)
     if log:
-        log(f"validating on {len(valid_items)} of {len(dataset.valid_names)} clips")
+        log(f"validating on {len(valid_items)} of {len(dataset.valid_names)} clips"
+            if valid_items else "no validation clips (valid_fraction=0): skipping validation")
 
     curves_path = out_dir / "curves.csv"
     curves_header = ["# val_quality: built-in proxy oracle (not PESQ)", ",".join(CURVE_COLUMNS)]
@@ -424,7 +425,7 @@ def train(model_cfg: ModelConfig, stft_cfg: StftConfig, train_cfg: TrainConfig,
             losses.append(l_mag_val)
 
             val_err = val_q = ""
-            if step % train_cfg.eval_every == 0 or step == train_cfg.max_steps:
+            if valid_items and (step % train_cfg.eval_every == 0 or step == train_cfg.max_steps):
                 ve, vq = _validate(model, valid_items, stft_cfg, seg, oracle)
                 val_err = f"{ve:.10g}"
                 val_q = f"{vq:.10g}"
@@ -541,11 +542,13 @@ def loss_study(dataset: PairedDataset, stft_cfg: StftConfig, train_cfg: TrainCon
     """Sweep the metric-loss weight ratio P = lambda2/lambda1 and report the
     spectral errors of each trained model on the validation items."""
     from .evaluation import spectral_errors
+    valid_items = _valid_items(dataset, train_cfg.segment_samples)
+    if not valid_items:
+        raise ConfigError("loss_study scores the validation split, which is empty")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results = {}
     rows = ["p,error_mag,error_pha,error_com,final_l_mag"]
-    valid_items = _valid_items(dataset, train_cfg.segment_samples)
     for p in p_values:
         cfg = replace(train_cfg, lambda1=1.0, lambda2=float(p))
         res = train(ModelConfig(), stft_cfg, cfg, dataset, out_dir / f"p{p:g}", oracle=oracle)

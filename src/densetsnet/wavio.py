@@ -63,8 +63,11 @@ def wav_write(path, clip_or_samples, sample_rate: int = 16000):
     if not np.all(np.isfinite(samples)):
         raise DataError("refusing to write non-finite samples")
     ints = np.clip(np.round(samples * _SCALE), -32768, 32767).astype("<i2")
-    with wave.open(str(path), "wb") as w:
-        w.setnchannels(1)
-        w.setsampwidth(2)
-        w.setframerate(sample_rate)
-        w.writeframes(ints.tobytes())
+    try:
+        with open(path, "wb") as f, wave.open(f, "wb") as w:
+            w.setnchannels(1)
+            w.setsampwidth(2)
+            w.setframerate(sample_rate)
+            w.writeframes(ints.tobytes())
+    except OSError as e:
+        raise DataError(f"{path}: cannot write ({e.strerror or e})") from None

@@ -112,7 +112,7 @@ def test_every_echoed_field_is_a_cli_key():
     mc = ModelConfig(dense_channel=6, depth=3, lke_kernel=15, lsg_kernel=5, mask_beta=1.5,
                      variant="classic_ts", classic_channel=8, adjust_depthwise=True,
                      drop=("ca", "lke"))
-    sc = StftConfig(n_fft=512, win_length=512, hop=128, sample_rate=8000, compression=0.5)
+    sc = StftConfig(n_fft=512, win_length=512, hop=128, compression=0.5)
     tc = TrainConfig(batch_size=3, max_steps=7, lr=2e-4, beta1=0.85, beta2=0.95, eps=1e-7,
                      weight_decay=0.02, eval_every=3, checkpoint_every=5, seed=9,
                      lambda1=0.5, lambda2=0.05, segment_samples=4000,
@@ -120,7 +120,7 @@ def test_every_echoed_field_is_a_cli_key():
     echo = config_echo(mc, sc, tc)
     default_echo = config_echo(ModelConfig(), StftConfig(), TrainConfig())
     keys = [key for _, key, _ in ECHOED_FIELDS]
-    assert len(keys) == 29 and sorted(echo) == sorted(keys) == sorted(default_echo)
+    assert len(keys) == 28 and sorted(echo) == sorted(keys) == sorted(default_echo)
     assert "window" not in echo
     assert all(echo[k] != default_echo[k] for k in keys)
 
@@ -314,6 +314,25 @@ def test_enhance_edited_checkpoint_header_exits_3(trained, tmp_path, capsys):
     assert "header" in capsys.readouterr().err
 
 
+def test_enhance_unwritable_targets_exit_3_before_writing(trained, tmp_path, capsys):
+    # a missing parent directory, a target that is a directory and an output
+    # directory that is a file are all found before any file is written
+    src = trained["noisy"] / "utt000.wav"
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    taken = tmp_path / "taken.wav"
+    taken.write_bytes(b"")
+    for source, dst, says in ((src, tmp_path / "missing_dir" / "x.wav", "missing_dir"),
+                              (src, existing, "is a directory"),
+                              (trained["noisy"], taken, "taken.wav is not a directory")):
+        rc = main(["enhance", "--ckpt", str(trained["ckpt"]), "--in", str(source),
+                   "--out", str(dst), "--force"])
+        assert rc == 3, dst
+        assert says in capsys.readouterr().err
+    assert not (tmp_path / "missing_dir").exists()
+    assert list(existing.iterdir()) == [] and taken.read_bytes() == b""
+
+
 def test_enhance_empty_directory(trained, tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -382,6 +401,14 @@ def test_eval_missing_pair_exit_3_but_csv_written(trained, tmp_path, capsys):
     assert csv_path.exists()
     text = csv_path.read_text()
     assert "EXCLUDED:utt001.wav" in text
+
+
+def test_eval_unwritable_report_exits_3(trained, tmp_path, capsys):
+    for out in (tmp_path / "missing_dir" / "r.csv", tmp_path):
+        rc = main(["eval", "--clean-dir", str(trained["clean"]),
+                   "--enhanced-dir", str(trained["clean"]), "--out", str(out)])
+        assert rc == 3, out
+        assert str(out) in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

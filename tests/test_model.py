@@ -354,24 +354,29 @@ def test_compression_affects_features_not_target():
 ], ids=["dense_ts", "classic_ts", "adjust_depthwise", "drop_ca_compressed"])
 def test_float32_forward_records_only_float32_nodes(cfg, stft_cfg, monkeypatch):
     """After ``store.astype(np.float32)`` every node of a no_grad forward is
-    float32: one silent upcast would give the inference saving back."""
+    float32: one silent upcast would give the inference saving back.  The
+    spy must see every gaze view's ``fuse`` weight go in, so it watched the
+    whole trunk; it counts no nodes, which a fusion would change."""
     import densetsnet.dsp as dsp
 
     model = build_model(cfg, stft_cfg, seed=2)
     model.store.astype(np.float32)
     assert model.store.dtype == np.float32
     assert all(t.dtype == np.float32 for t in model.store.tensors())
-    dtypes = []
+    dtypes, inputs = [], set()
     for mod in (ad, dsp):
         def spy(data, parents, backward_fn, _make=mod._make):
             dtypes.append(data.dtype)
+            inputs.update(id(t) for t in parents)
             return _make(data, parents, backward_fn)
         monkeypatch.setattr(mod, "_make", spy)
     mag = np.abs(np.random.default_rng(3).standard_normal((1, 9, F_BINS))) + 0.1
     with ad.no_grad():
         mask, enhanced = model.forward(Tensor(mag.astype(np.float32)))
     assert mask.dtype == enhanced.dtype == np.float32
-    assert len(dtypes) > 100
+    fuse = [model.store[n] for n in model.store.names() if n.endswith("/fuse/w")]
+    assert len(fuse) == 8  # four two-stage blocks of two views each
+    assert all(id(w) in inputs for w in fuse)
     assert set(dtypes) == {np.dtype(np.float32)}
 
 

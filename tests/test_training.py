@@ -379,6 +379,21 @@ def test_config_echo_old_checkpoint_keys_take_defaults(dataset, tmp_path):
     assert len(rr.losses) == 1
 
 
+def test_resume_from_an_echo_with_a_key_the_config_no_longer_has(dataset, tmp_path):
+    # checkpoints written while StftConfig had a sample_rate field echo it;
+    # they still load and resume, as only the running config's keys compare
+    cfg = _tiny_train_cfg(max_steps=2, checkpoint_every=2)
+    res = train(TINY_MODEL, StftConfig(), cfg, dataset, tmp_path)
+    arrays, echo, extra = load_checkpoint(res.checkpoints[0])
+    echo["sample_rate"] = 16000
+    old = tmp_path / "old.dtsn"
+    save_checkpoint(old, arrays, echo, extra)
+    assert configs_from_echo(echo)[0] == TINY_MODEL
+    rr = train(TINY_MODEL, StftConfig(), _tiny_train_cfg(max_steps=3, checkpoint_every=3),
+               dataset, tmp_path, resume=old)
+    assert len(rr.losses) == 1
+
+
 def test_enhance_waveforms_matches_explicit_chain():
     from densetsnet.dsp import stft_pair
     from densetsnet.model import build_model
@@ -449,18 +464,18 @@ def test_float32_enhance_memory_is_half_the_float64_maps():
     assert peak <= 5.5 * widest, f"peak {peak / widest:.1f} x the widest float64 map"
 
 
-@pytest.fixture(scope="module")
-def traced_training_step():
-    """Traced (peak, held) of the second of two training steps of the
-    default model on 1 x 1 s, in widest maps (B*T*F*depth*dense_channel
-    float64s); the step holds its last loss, as a training loop does."""
+def _traced_training_step(mcfg):
+    """Traced (peak, held) of the second of two training steps of model
+    ``mcfg`` on 1 x 1 s, in widest maps of the default model
+    (B*T*F*depth*dense_channel float64s); the step holds its last loss, as a
+    training loop does."""
     import tracemalloc
     from densetsnet.autodiff import backward
     from densetsnet.dsp import consistency_project, stft
     from densetsnet.losses import mag_mse
     from densetsnet.model import build_model
 
-    cfg, mcfg = StftConfig(), ModelConfig()
+    cfg = StftConfig()
     model = build_model(mcfg, cfg, seed=0)
     opt = AdamW(model.store)
     rng = np.random.default_rng(4)
@@ -468,7 +483,8 @@ def traced_training_step():
     noisy = clean + rng.standard_normal((1, 16000)) * 0.05
     nspec = stft(Tensor(noisy), cfg)
     clean_mag = stft(Tensor(clean), cfg).mag
-    widest = cfg.frame_count(16000) * cfg.n_bins * mcfg.depth * mcfg.dense_channel * 8
+    default = ModelConfig()
+    widest = cfg.frame_count(16000) * cfg.n_bins * default.depth * default.dense_channel * 8
 
     def step():
         model.store.zero_grad()
@@ -488,6 +504,12 @@ def traced_training_step():
         tracemalloc.stop()
     assert np.isfinite(loss.data)
     return peak / widest, held / widest
+
+
+@pytest.fixture(scope="module")
+def traced_training_step():
+    """``_traced_training_step`` of the default model."""
+    return _traced_training_step(ModelConfig())
 
 
 def test_training_step_memory_is_one_tape(traced_training_step):
@@ -512,6 +534,19 @@ def test_training_step_tape_holds_only_what_backward_reads(traced_training_step)
     ops at 78.2, the first fused ops at 54.1, and these at 41.1."""
     peak, _ = traced_training_step
     assert peak <= 43, f"peak {peak:.1f} x the widest map"
+
+
+@pytest.mark.parametrize("drop", [("ca",), ("lsg",), ("lke",), ("ca", "lsg")],
+                         ids=["drop_ca", "drop_lsg", "drop_lke", "drop_ca_lsg"])
+def test_no_ablation_step_peaks_above_the_full_block(drop, traced_training_step):
+    """Dropping a view takes work out of the gaze block, so it must not add
+    to the tape.  A dropped channel or spatial view gates the one fused tail
+    with a constant 1; when those ablations ran on the composed mul and
+    conv instead, drop=ca peaked at 43.0 maps against the full block's 41.1."""
+    full, _ = traced_training_step
+    peak, held = _traced_training_step(ModelConfig(drop=drop))
+    assert peak <= full, f"peak {peak:.2f} against {full:.2f} widest maps"
+    assert held <= 1, f"{held:.2f} widest maps held after the step"
 
 
 # ---------------------------------------------------------------------------
@@ -559,13 +594,38 @@ def test_train_smoke_curves_checkpoint_result(dataset, tmp_path):
         np.testing.assert_array_equal(arrays[f"p/{k}"], res.model.store[k].data)
 
 
+def test_train_without_validation_clips_skips_validation(synth_dir, tmp_path):
+    # valid_fraction=0 leaves no validation split: no nan in curves or
+    # final_val (np.mean of nothing), and the log says validation is off
+    ds = PairedDataset(DatasetSpec(str(synth_dir / "clean"), str(synth_dir / "noisy"),
+                                   valid_fraction=0.0))
+    assert ds.valid_names == []
+    lines = []
+    res = train(TINY_MODEL, StftConfig(), _tiny_train_cfg(max_steps=2, eval_every=1), ds,
+                tmp_path, log=lines.append)
+    assert res.final_val == {}
+    rows = read_curves_csv(res.curves_path)
+    assert [(r["val_mag_error"], r["val_quality"]) for r in rows] == [("", "")] * 2
+    assert any("skipping validation" in ln for ln in lines), lines
+    assert not any("nan" in ln for ln in lines), lines
+
+
+def test_loss_study_needs_validation_clips(synth_dir, tmp_path):
+    ds = PairedDataset(DatasetSpec(str(synth_dir / "clean"), str(synth_dir / "noisy"),
+                                   valid_fraction=0.0))
+    with pytest.raises(ConfigError, match="validation"):
+        training.loss_study(ds, StftConfig(), _tiny_train_cfg(max_steps=1), tmp_path)
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("model_cfg, lambda2", [
     (ModelConfig(), 0.0),
     (ModelConfig(drop=("lke",)), 0.0),
     (ModelConfig(drop=("ca",)), 0.0),
     (ModelConfig(drop=("lsg",)), 0.0),
+    (ModelConfig(drop=("ca", "lsg")), 0.0),
     (ModelConfig(variant="classic_ts"), 0.5),
-], ids=["dense_ts", "drop_lke", "drop_ca", "drop_lsg", "classic_ts_metric"])
+], ids=["dense_ts", "drop_lke", "drop_ca", "drop_lsg", "drop_ca_lsg", "classic_ts_metric"])
 def test_fused_ops_train_bit_for_bit_like_the_composed_ops(model_cfg, lambda2, dataset,
                                                           tmp_path, monkeypatch):
     """Two steps with the fused gaze block and norm-hardswish against the

@@ -61,6 +61,12 @@ def test_write_rejects_bad_input(tmp_path):
         wav_write(tmp_path / "x.wav", np.array([np.nan]))
 
 
+def test_write_to_an_unwritable_path_names_it(tmp_path):
+    for path in (tmp_path / "missing_dir" / "x.wav", tmp_path):
+        with pytest.raises(DataError, match=str(path)):
+            wav_write(path, np.zeros(8))
+
+
 def test_read_rejects_stereo(tmp_path):
     p = tmp_path / "st.wav"
     with wave.open(str(p), "wb") as w:

@@ -57,8 +57,10 @@ by a new forward pass accumulates into the leaves as usual.
 
 Inside ``with no_grad():`` ops record nothing: each result is a bare leaf
 with no parents and no closure, so an intermediate is freed as soon as its
-last reader is done and inference memory stays a few feature maps wide.  The
-arithmetic is the same, so values match a recorded forward bit for bit.
+last reader is done.  The arithmetic is the same, so values match a
+recorded forward bit for bit.  The model's gaze blocks read this state:
+without a tape they run each view over chunks of rows, which keeps
+inference about three feature maps wide on a long clip.
 
 Arrays are numpy ndarrays.  Training works in float64; inference may run
 in float32.  Every op keeps the dtype of its inputs, values and grads alike,

@@ -69,11 +69,15 @@ def save_checkpoint(path, arrays: dict, config: dict, extra: dict | None = None)
 def load_checkpoint(path):
     """Returns (arrays, config, extra); verifies magic, version, checksums.
 
-    Any malformed file raises DataError: the header is checked for its keys
-    and types and every entry for a sane shape before the payload is read.
+    A path that cannot be read and any malformed file raise DataError naming
+    the path: the header is checked for its keys and types and every entry
+    for a sane shape before the payload is read.
     """
-    with open(path, "rb") as f:
-        raw = f.read()
+    try:
+        with open(path, "rb") as f:
+            raw = f.read()
+    except OSError as e:
+        raise DataError(f"{path}: cannot read checkpoint ({e.strerror or e})") from None
     if raw[:4] != MAGIC:
         raise DataError(f"{path}: not a checkpoint file (bad magic)")
     if len(raw) < 8:

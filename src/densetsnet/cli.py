@@ -21,7 +21,8 @@ from .evaluation import evaluate_dir
 from .losses import proxy_quality
 from .model import _DROPPABLE, _VARIANTS, build_model
 from .training import (ECHOED_FIELDS, DatasetSpec, PairedDataset,
-                       configs_from_echo, enhance_waveforms, synth_dataset, train)
+                       configs_from_echo, enhance_waveforms, peak_rss_mb, synth_dataset,
+                       train)
 from .wavio import wav_read, wav_seconds, wav_write
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}
@@ -62,10 +63,13 @@ def _apply(vals: dict, key: str, raw: str, origin: str):
 
 
 def _read_config_file(vals: dict, path: str):
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {path}")
-    for lineno, line in enumerate(p.read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_text()
+    except OSError as e:
+        raise ConfigError(f"cannot read config file {path} ({e.strerror or e})") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"config file {path} is not UTF-8 text") from None
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -170,7 +174,12 @@ def cmd_enhance(args) -> int:
         done = f"enhanced {in_path} -> {out_path}"
     else:
         raise DataError(f"input not found: {in_path}")
-    for _, target in pairs:  # all before any is written
+    avail = _available_bytes()
+    for source, target in pairs:  # all before any is written
+        need = model.enhance_peak_bytes(stft_cfg.frame_count(round(wav_seconds(source) * 16000)))
+        if need > avail:
+            raise DataError(f"{source}: enhancing it needs about {need / 2**20:.0f} MiB, "
+                            f"but only {avail / 2**20:.0f} MiB of memory is available")
         if not target.parent.is_dir():
             raise DataError(f"{target}: {target.parent} is not a directory")
         if target.is_dir():
@@ -182,8 +191,21 @@ def cmd_enhance(args) -> int:
     cpu_s = time.process_time() - cpu0
     audio_s = sum(wav_seconds(target) for _, target in pairs)  # > 0: a clip is at least one window
     print(f"{done} ({model.store.dtype}, {audio_s:.2f} s of audio, "
-          f"CPU real-time factor {cpu_s / audio_s:.3f})")
+          f"CPU real-time factor {cpu_s / audio_s:.3f}, peak RSS {peak_rss_mb():.1f} MiB)")
     return 0
+
+
+def _available_bytes() -> float:
+    """MemAvailable from /proc/meminfo; infinite where the kernel does not
+    report it, so the pre-flight check in cmd_enhance passes."""
+    try:
+        with open("/proc/meminfo") as f:
+            for line in f:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return float("inf")
 
 
 def cmd_eval(args) -> int:

@@ -22,6 +22,9 @@ from .params import ParamStore
 
 _DROPPABLE = ("lke", "ca", "lsg")
 RESIDUAL_GAIN = 0.2  # fixed weight on the last adjusted branch
+# Rows x length of one chunk of a gaze view when no tape is recorded (see
+# ts_mvgb_forward and _row_chunks).
+CHUNK_POSITIONS = 16384
 
 
 @dataclass(frozen=True)
@@ -139,15 +142,47 @@ def mvgb_forward(x: Tensor, p: MvgbParams) -> Tensor:
 
 def ts_mvgb_forward(d: Tensor, p_time: MvgbParams, p_freq: MvgbParams) -> Tensor:
     """Sequence modelling along time, then along frequency, shape-preserving.
-    One name is rebound through the chain, as in mvgb_forward."""
+    One name is rebound through the chain, as in mvgb_forward.
+
+    Each view is independent across its rows, so when ops record no tape a
+    view runs over chunks of about ``CHUNK_POSITIONS`` positions that write
+    into one preallocated (B, T, F, C) map: the time view transposes one
+    chunk of frequency rows at a time, and the frequency view overwrites its
+    rows, which are contiguous in that map, in place.  A view's maps are
+    then a chunk wide rather than the whole (B, T, F, C) map wide."""
     if d.ndim != 4:
         raise ShapeError(f"ts block expects (B, T, F, C), got rank {d.ndim}")
     b, t, f, c = d.shape
-    h = ad.reshape(ad.transpose(d, (0, 2, 1, 3)), (b * f, t, c))
-    h = mvgb_forward(h, p_time)
-    h = ad.transpose(ad.reshape(h, (b, f, t, c)), (0, 2, 1, 3))
-    h = mvgb_forward(ad.reshape(h, (b * t, f, c)), p_freq)
-    return ad.reshape(h, (b, t, f, c))
+    if ad._recording:
+        h = ad.reshape(ad.transpose(d, (0, 2, 1, 3)), (b * f, t, c))
+        h = mvgb_forward(h, p_time)
+        h = ad.transpose(ad.reshape(h, (b, f, t, c)), (0, 2, 1, 3))
+        h = mvgb_forward(ad.reshape(h, (b * t, f, c)), p_freq)
+        return ad.reshape(h, (b, t, f, c))
+    out = np.empty(d.shape, np.result_type(d.dtype, p_time.fuse_w.dtype, p_freq.fuse_w.dtype))
+    for i in range(b):
+        for rows in _row_chunks(f, t):
+            h = mvgb_forward(Tensor(np.ascontiguousarray(d.data[i, :, rows].transpose(1, 0, 2))),
+                             p_time)
+            out[i, :, rows] = h.data.transpose(1, 0, 2)
+    del h  # a one-chunk view's result is a whole map
+    flat = out.reshape(b * t, f, c)
+    for rows in _row_chunks(b * t, f):
+        flat[rows] = mvgb_forward(Tensor(flat[rows]), p_freq).data
+    return Tensor(out)
+
+
+def _row_chunks(n: int, length: int) -> list:
+    """Slices splitting n rows of the given length into as few chunks of at
+    most CHUNK_POSITIONS positions as will do, as even as they come.  No
+    chunk holds a single row unless n == 1, so a chunk may hold 2 or 3 rows
+    past that size: numpy hands a one-row matmul to gemv, which rounds the
+    channel attention's (rows, C) @ (C, C) product differently from the gemm
+    that a whole view runs, while gemm gives every row the same bits at any
+    row count."""
+    rows = max(1, CHUNK_POSITIONS // length)
+    k = max(1, min(-(-n // rows), n // 2))
+    return [slice(n * j // k, n * (j + 1) // k) for j in range(k)]
 
 
 def norm_hardswish_2d(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -163,12 +198,20 @@ class _MaskNet:
     sigmoid, and the size accounting.
 
     A subclass names the ``VARIANT`` it builds and the config field of its
-    ``WIDTH`` c.  ``_build(c)`` registers the body's parameters, between the
-    lift and the head, and ``_body`` maps lifted (B, T, F, c) features to
-    the head's input plus a dict of inner maps for ``forward(parts=True)``.
+    ``WIDTH`` c and its measured ``ENHANCE_MAPS``.  ``_build(c)`` registers
+    the body's parameters, between the lift and the head, and sets
+    ``widest``, the most channels any map of the body has; ``_body`` maps
+    lifted (B, T, F, c) features to the head's input plus a dict of inner
+    maps for ``forward(parts=True)``.
     """
 
     VARIANT = WIDTH = ""
+    # Traced peak of training.enhance_waveforms in widest feature maps (the
+    # (1, T, F) map of the most channels, ``widest``), rounded up from float32
+    # clips of 8 to 60 s; the base covers what does not grow with the clip:
+    # a chunk's working set, the interpreter's allocator slack.
+    ENHANCE_MAPS = 0.0
+    ENHANCE_BASE = 32 << 20
 
     def __init__(self, cfg: ModelConfig, stft_cfg: StftConfig, seed: int = 0):
         if cfg.variant != self.VARIANT:
@@ -200,6 +243,12 @@ class _MaskNet:
         if parts:
             return mask, enhanced, inner
         return mask, enhanced
+
+    def enhance_peak_bytes(self, frames: int) -> int:
+        """Estimated memory ``enhance_waveforms`` takes on a clip of
+        ``frames`` STFT frames, at the parameters' dtype."""
+        widest = frames * self.stft_cfg.n_bins * self.widest * self.store.dtype.itemsize
+        return int(self.ENHANCE_BASE + self.ENHANCE_MAPS * widest)
 
     def count_params(self) -> int:
         return self.store.count()
@@ -235,8 +284,10 @@ class DenseTsNet(_MaskNet):
     """Masking model with densely concatenated two-stage layers."""
 
     VARIANT, WIDTH = "dense_ts", "dense_channel"
+    ENHANCE_MAPS = 3.2  # measured 3.06-3.19
 
     def _build(self, c):
+        self.widest = c * self.cfg.depth  # the last layer's input
         self.layers: list[_TsLayer] = []
         for i in range(1, self.cfg.depth + 1):
             cin = c * i
@@ -306,8 +357,10 @@ class ClassicTsNet(_MaskNet):
     VARIANT, WIDTH = "classic_ts", "classic_channel"
     N_TS = 4
     DILATIONS = (1, 2, 4, 8)
+    ENHANCE_MAPS = 3.9  # measured 3.78-3.79
 
     def _build(self, c):
+        self.widest = c * (len(self.DILATIONS) + 1)  # a dense block's last concatenation
         self.enc = _dense_block(self.store, "enc", c, self.DILATIONS)
         self.ts = []
         for k in range(1, self.N_TS + 1):

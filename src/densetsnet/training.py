@@ -259,6 +259,20 @@ def _check_resume_echo(saved_echo: dict, echo: dict):
                           f"{', '.join(RESUMABLE_KEYS)} may change on resume")
 
 
+def peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MiB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / _MAXRSS_PER_MIB
+
+
+def _make_dir(path: Path):
+    """Create a directory and its parents; a file in the way, or any other
+    OSError, is a DataError naming the path."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise DataError(f"{path}: cannot create directory ({e.strerror or e})") from None
+
+
 @dataclass
 class TrainResult:
     curves_path: str
@@ -277,10 +291,13 @@ def enhance_waveforms(model, noisy: np.ndarray, stft_cfg: StftConfig):
     """Mask one clip's noisy magnitude and resynthesise with the noisy phase.
 
     Returns (enhanced magnitude (1, T, F), waveform (L,)) as plain arrays.
-    Runs under no_grad, so no tape is recorded and each feature map is freed
-    once the next layer has read it.  The model sees the magnitude in its
-    parameters' dtype, so a float32 model runs a float32 forward; the STFT
-    and the synthesis stay float64.
+    Runs under no_grad, so no tape is recorded, each feature map is freed
+    once the next layer has read it, and each gaze view runs over chunks of
+    rows (``model.ts_mvgb_forward``).  On a long clip that peaks at about
+    three widest feature maps, which the model's ``enhance_peak_bytes``
+    estimates from the clip's length.
+    The model sees the magnitude in its parameters' dtype, so a float32
+    model runs a float32 forward; the STFT and the synthesis stay float64.
     """
     with no_grad():
         spec = stft(Tensor(noisy[None, :]), stft_cfg)
@@ -324,7 +341,7 @@ def train(model_cfg: ModelConfig, stft_cfg: StftConfig, train_cfg: TrainConfig,
           dataset: PairedDataset, out_dir, oracle=None, resume=None,
           log=None) -> TrainResult:
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     seg = train_cfg.segment_samples
     if seg < stft_cfg.win_length:
         raise ConfigError(f"segment_samples {seg} shorter than one window {stft_cfg.win_length}")
@@ -440,9 +457,8 @@ def train(model_cfg: ModelConfig, stft_cfg: StftConfig, train_cfg: TrainConfig,
 
             if step % train_cfg.checkpoint_every == 0 or step == train_cfg.max_steps:
                 save(step)
-            peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / _MAXRSS_PER_MIB
             timing.write(f"{step},{time.process_time() - cpu0:.6f},"
-                         f"{time.perf_counter() - wall0:.6f},{peak_mb:.1f}\n")
+                         f"{time.perf_counter() - wall0:.6f},{peak_rss_mb():.1f}\n")
 
     return TrainResult(curves_path=str(curves_path), checkpoints=checkpoints,
                        losses=losses, final_val=final_val, model=model)
@@ -466,8 +482,8 @@ def synth_dataset(n_pairs: int, seed: int, out_dir, duration_s: float = 3.0,
     SNR drawn from snr_range.  Deterministic per (n_pairs, seed)."""
     from .wavio import wav_write
     out_dir = Path(out_dir)
-    (out_dir / "clean").mkdir(parents=True, exist_ok=True)
-    (out_dir / "noisy").mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir / "clean")
+    _make_dir(out_dir / "noisy")
     rng = np.random.default_rng(seed)
     sr = 16000
     n = int(duration_s * sr)

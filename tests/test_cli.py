@@ -66,6 +66,13 @@ def test_config_file_not_found(tmp_path):
     assert rc == 2
 
 
+def test_config_file_not_text_exits_2(tmp_path, capsys):
+    p = tmp_path / "binary.cfg"
+    p.write_bytes(b"\xff\xfe\x00depth=4\n")
+    assert main(["inspect", "--config", str(p)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
 def test_config_file_bad_line_numbered(tmp_path, capsys):
     p = tmp_path / "bad.cfg"
     p.write_text("# fine\ndense_channel=4\nnot an assignment\n")
@@ -253,7 +260,38 @@ def test_enhance_reports_precision_audio_and_rtf(trained, tmp_path, capsys):
     line = capsys.readouterr().out.strip().splitlines()[-1]
     assert line.startswith(f"enhanced 2 files into {tmp_path / 'enh'} (float32, 6.00 s of audio, "
                            "CPU real-time factor "), line
-    assert float(line.rsplit(" ", 1)[1].rstrip(")")) > 0
+    rtf, rss = line.split("CPU real-time factor ", 1)[1].split(", peak RSS ")
+    assert float(rtf) > 0
+    assert rss.endswith(" MiB)"), line
+    assert float(rss[:-len(" MiB)")]) > 0
+
+
+def test_enhance_refuses_a_clip_whose_estimate_exceeds_available_memory(
+        trained, tmp_path, capsys, monkeypatch):
+    """Before any clip runs, enhance estimates each clip's peak from its
+    length and exits 3, naming the clip and the estimate, when that exceeds
+    the memory the kernel reports as available; no WAV is written."""
+    from densetsnet import cli
+    from densetsnet.model import build_model
+
+    src = trained["noisy"] / "utt000.wav"
+    model = build_model(ModelConfig(dense_channel=2, depth=1), StftConfig())
+    model.store.astype(np.float32)
+    need = model.enhance_peak_bytes(StftConfig().frame_count(len(wav_read(src))))
+    argv = ["enhance", "--ckpt", str(trained["ckpt"]), "--in", str(trained["noisy"]),
+            "--out", str(tmp_path / "enh")]
+    monkeypatch.setattr(cli, "_available_bytes", lambda: need - 1)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert str(src) in err and f"about {need / 2**20:.0f} MiB" in err, err
+    assert not any((tmp_path / "enh").glob("*.wav"))
+    monkeypatch.setattr(cli, "_available_bytes", lambda: need)
+    assert main(argv) == 0
+
+
+def test_available_bytes_reads_a_positive_figure():
+    from densetsnet.cli import _available_bytes
+    assert _available_bytes() > 0
 
 
 @pytest.mark.parametrize("seconds", [2.0, 8.0])
@@ -352,6 +390,45 @@ def test_enhance_silence_stays_silent(trained, tmp_path):
     out = wav_read(dst).samples
     assert out.shape == (4000,)
     assert np.all(out == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# user-named paths that are missing or of the wrong kind
+# ---------------------------------------------------------------------------
+
+# (argv with {wav}, {bad} and {out} to fill in; what {bad} is; exit code)
+BAD_PATHS = [
+    (["enhance", "--ckpt", "{bad}", "--in", "{wav}", "--out", "{out}/o.wav"], "missing", 3),
+    (["enhance", "--ckpt", "{bad}", "--in", "{wav}", "--out", "{out}/o.wav"], "dir", 3),
+    (["inspect", "--ckpt", "{bad}"], "missing", 3),
+    (["inspect", "--ckpt", "{bad}"], "dir", 3),
+    (["inspect", "--config", "{bad}"], "missing", 2),
+    (["inspect", "--config", "{bad}"], "dir", 2),
+    (["train", "--out", "{bad}", "--synthetic", "1", "--quiet", "--steps", "1"], "file", 3),
+    (["train", "--out", "{out}", "--synthetic", "2", "--quiet", "--steps", "4",
+      "--resume", "{bad}"], "missing", 3),
+    (["train", "--out", "{out}", "--synthetic", "2", "--quiet", "--steps", "4",
+      "--resume", "{bad}"], "dir", 3),
+    (["synth-data", "--out", "{bad}", "--pairs", "1"], "file", 3),
+]
+
+
+@pytest.mark.parametrize("argv,kind,code", BAD_PATHS,
+                         ids=[f"{a[0]}{a[a.index('{bad}') - 1]}-{k}" for a, k, _ in BAD_PATHS])
+def test_bad_path_exits_with_its_code_and_no_traceback(trained, tmp_path, capsys,
+                                                        argv, kind, code):
+    bad = tmp_path / "bad"
+    if kind == "dir":
+        bad.mkdir()
+    elif kind == "file":
+        bad.write_bytes(b"")
+    out = tmp_path / "out"
+    out.mkdir()
+    fill = {"{wav}": trained["noisy"] / "utt000.wav", "{bad}": bad, "{out}": out}
+    args = [str(fill.get(a, a)).replace("{out}", str(out)) for a in argv]
+    assert main(args) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and str(bad) in err, err
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ import densetsnet.autodiff as ad
 from densetsnet.autodiff import Tensor, backward
 from densetsnet.dsp import StftConfig
 from densetsnet.errors import ConfigError, DataError, ShapeError
-from densetsnet.model import (RESIDUAL_GAIN, ClassicTsNet, DenseTsNet,
-                              ModelConfig, ablate, build_model)
+from densetsnet.model import (CHUNK_POSITIONS, RESIDUAL_GAIN, ClassicTsNet, DenseTsNet,
+                              ModelConfig, _row_chunks, ablate, build_model)
 
 from helpers import closure_tensors
 
@@ -233,6 +233,47 @@ def test_batch_items_are_independent():
     for b in range(3):
         _, enh_one = model.forward(Tensor(mag[b:b + 1]))
         assert np.max(np.abs(enh_all.data[b] - enh_one.data[0])) < 1e-10
+
+
+@pytest.mark.parametrize("chunk,shape", [(None, (1, 321)), (1000, (2, 81)), (1, (2, 81))],
+                         ids=["default_2s", "uneven", "two_rows"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("cfg", [ModelConfig(), ModelConfig(variant="classic_ts"),
+                                 ModelConfig(drop=("ca",))],
+                         ids=["dense_ts", "classic_ts", "drop_ca"])
+def test_no_grad_forward_over_row_chunks_equals_the_recorded_forward(
+        cfg, dtype, chunk, shape, monkeypatch):
+    """Under no_grad each gaze view runs over chunks of its rows, bit for bit
+    the recorded forward over whole views.  Every view here spans several
+    chunks: 4 of 50-51 and 80-81 rows at the default size on a 2 s clip,
+    11-12 and 3-4 rows at 1000 positions, and 2-3 rows at the smallest
+    size, where a one-row chunk would round the channel attention
+    differently."""
+    if chunk is not None:
+        monkeypatch.setattr("densetsnet.model.CHUNK_POSITIONS", chunk)
+    model = build_model(cfg, SCFG, seed=6)
+    rng = np.random.default_rng(7)
+    for t in model.store.tensors():  # nonzero biases and norm shifts too
+        t.data = (t.data + 0.1 * rng.standard_normal(t.shape)).astype(dtype)
+    mag = Tensor(np.abs(rng.standard_normal(shape + (F_BINS,))).astype(dtype))
+    mask, enh = model.forward(mag)
+    assert enh.requires_grad
+    with ad.no_grad():
+        mask_ng, enh_ng = model.forward(mag)
+    assert enh_ng.dtype == dtype
+    np.testing.assert_array_equal(mask_ng.data, mask.data)
+    np.testing.assert_array_equal(enh_ng.data, enh.data)
+
+
+@pytest.mark.parametrize("n,length", [(1, 9601), (2, 9601), (201, 9601), (201, 321),
+                                      (201, 161), (9601, 201), (7, 1)])
+def test_row_chunks_tile_the_rows_without_a_one_row_chunk(n, length):
+    chunks = _row_chunks(n, length)
+    assert chunks[0].start == 0 and chunks[-1].stop == n
+    assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
+    sizes = [s.stop - s.start for s in chunks]
+    assert min(sizes) >= min(n, 2)
+    assert max(sizes) <= max(3, CHUNK_POSITIONS // length)
 
 
 def test_gradient_reaches_every_parameter():

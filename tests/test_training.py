@@ -440,7 +440,7 @@ def test_enhance_memory_is_a_few_feature_maps():
 def test_float32_enhance_memory_is_half_the_float64_maps():
     """A float32 model runs the trunk on float32 maps, so the traced peak is
     about half that of the float64 sibling above, in the same unit (widest
-    float64 maps): 4.8 against 9.4.  An upcast anywhere in the forward puts
+    float64 maps): 3.1 against 6.0.  An upcast anywhere in the forward puts
     it back up; numpy's default rfft scale alone, which runs a float32 input
     through float64 buffers, gave 5.9."""
     import tracemalloc
@@ -462,6 +462,33 @@ def test_float32_enhance_memory_is_half_the_float64_maps():
         tracemalloc.stop()
     assert enh.dtype == np.float32
     assert peak <= 5.5 * widest, f"peak {peak / widest:.1f} x the widest float64 map"
+
+
+def test_float32_enhance_of_an_8s_clip_peaks_at_about_three_maps():
+    """Under no_grad each gaze view runs over chunks of rows and writes into
+    one preallocated map, so the traced float32 peak on a long clip is about
+    three widest float32 maps (B*T*F*depth*dense_channel float32s): 3.19 at
+    8 s and 3.06 at 60 s (~6 MiB per audio second), against 7.42 when each
+    view ran over the whole map."""
+    import tracemalloc
+    from densetsnet.model import build_model
+    from densetsnet.training import enhance_waveforms
+
+    cfg, mcfg = StftConfig(), ModelConfig()
+    model = build_model(mcfg, cfg, seed=0)
+    model.store.astype(np.float32)
+    enhance_waveforms(model, np.zeros(4000), cfg)  # fill the STFT basis cache
+    noisy = np.random.default_rng(2).standard_normal(8 * 16000) * 0.1
+    widest = cfg.frame_count(len(noisy)) * cfg.n_bins * mcfg.depth * mcfg.dense_channel * 4
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        enhance_waveforms(model, noisy, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * widest, f"peak {peak / widest:.2f} x the widest float32 map"
+    assert peak <= model.enhance_peak_bytes(cfg.frame_count(len(noisy)))
 
 
 def _traced_training_step(mcfg):

@@ -78,10 +78,10 @@ from operator import iadd
 
 import numpy as np
 
-from .errors import GraphError, NumericalError, ShapeError
+from .errors import GraphError, ShapeError
 
 __all__ = [
-    "Tensor", "tensor", "backward", "grad_check", "no_grad",
+    "Tensor", "backward", "grad_check", "no_grad",
     "add", "sub", "mul", "scale", "mul_const", "square", "sigmoid",
     "hardswish", "simple_gate", "learnable_sigmoid", "channel_scale",
     "reshape", "transpose", "concat_last", "split_last", "slice_last",
@@ -152,14 +152,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-
-def tensor(data, requires_grad=False, dtype=np.float64):
-    """Create a leaf tensor from external data, rejecting NaN/Inf."""
-    arr = np.asarray(data, dtype=dtype)
-    if not np.all(np.isfinite(arr)):
-        raise NumericalError("tensor data contains NaN or Inf")
-    return Tensor(arr, requires_grad=requires_grad)
 
 
 class no_grad:

@@ -20,10 +20,10 @@ from .errors import ConfigError, DataError, NumericalError, ShapeError
 from .evaluation import evaluate_dir
 from .losses import proxy_quality
 from .model import _DROPPABLE, _VARIANTS, build_model
-from .training import (ECHOED_FIELDS, DatasetSpec, PairedDataset,
+from .training import (ECHOED_FIELDS, DatasetSpec, PairedDataset, _make_dir,
                        configs_from_echo, enhance_waveforms, peak_rss_mb, synth_dataset,
                        train)
-from .wavio import wav_read, wav_seconds, wav_write
+from .wavio import SAMPLE_RATE, wav_frames, wav_read, wav_write
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
@@ -161,12 +161,13 @@ def cmd_enhance(args) -> int:
     in_path = Path(getattr(args, "in"))
     out_path = Path(args.out)
     cpu0 = time.process_time()
+    new_dir = None  # an output directory to create once every check has passed
     if in_path.is_dir():
         names = sorted(p.name for p in in_path.glob("*.wav"))
         if not names:
             raise DataError(f"no .wav files in {in_path}")
         if not out_path.exists():
-            out_path.mkdir(parents=True)
+            new_dir = out_path
         pairs = [(in_path / name, out_path / name) for name in names]
         done = f"enhanced {len(names)} files into {out_path}"
     elif in_path.exists():
@@ -174,22 +175,27 @@ def cmd_enhance(args) -> int:
         done = f"enhanced {in_path} -> {out_path}"
     else:
         raise DataError(f"input not found: {in_path}")
+    # every check runs before anything is created or written: each input's
+    # header (format and length), the memory estimate and each target
+    frames = [wav_frames(source) for source, _ in pairs]
     avail = _available_bytes()
-    for source, target in pairs:  # all before any is written
-        need = model.enhance_peak_bytes(stft_cfg.frame_count(round(wav_seconds(source) * 16000)))
+    for (source, target), n in zip(pairs, frames):
+        need = model.enhance_peak_bytes(stft_cfg.frame_count(n))
         if need > avail:
             raise DataError(f"{source}: enhancing it needs about {need / 2**20:.0f} MiB, "
                             f"but only {avail / 2**20:.0f} MiB of memory is available")
-        if not target.parent.is_dir():
+        if not (target.parent == new_dir or target.parent.is_dir()):
             raise DataError(f"{target}: {target.parent} is not a directory")
         if target.is_dir():
             raise DataError(f"{target} is a directory, not a WAV file")
         if target.exists() and not args.force:
             raise DataError(f"{target} exists; use --force to overwrite")
+    if new_dir is not None:
+        _make_dir(new_dir)
     for source, target in pairs:
         _enhance_one(model, stft_cfg, source, target)
     cpu_s = time.process_time() - cpu0
-    audio_s = sum(wav_seconds(target) for _, target in pairs)  # > 0: a clip is at least one window
+    audio_s = sum(frames) / SAMPLE_RATE  # > 0: a clip is at least one window
     print(f"{done} ({model.store.dtype}, {audio_s:.2f} s of audio, "
           f"CPU real-time factor {cpu_s / audio_s:.3f}, peak RSS {peak_rss_mb():.1f} MiB)")
     return 0
@@ -237,7 +243,7 @@ def cmd_inspect(args) -> int:
         model_cfg, stft_cfg, _ = _build_configs(args)
         model = build_model(model_cfg, stft_cfg, seed=0)
         print(f"variant: {model_cfg.variant}")
-    t_frames = 1 + 32000 // stft_cfg.hop
+    t_frames = stft_cfg.frame_count(2 * SAMPLE_RATE)
     table = model.layer_table(t=t_frames, f=stft_cfg.n_bins)
     width = max(len(r[0]) for r in table)
     print(f"{'layer group':<{width}}  {'params':>8}  {'macs (2 s)':>12}")

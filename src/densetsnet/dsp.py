@@ -9,7 +9,8 @@ reflect padding by n_fft/2; T = 1 + floor(len / hop).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,12 +24,18 @@ def periodic_hann(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StftConfig:
+    """STFT sizes and the network's magnitude exponent.
+
+    The analysis window is fixed: a periodic Hann of ``win_length`` points,
+    centred in ``n_fft`` by zero padding.  ``__post_init__`` derives it as
+    the ``window`` attribute, which is not a field, so configs compare and
+    hash by their four fields.
+    """
     n_fft: int = 400
     win_length: int = 400
     hop: int = 100
     # magnitude feature exponent for the network input; 1.0 disables it
     compression: float = 1.0
-    window: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not (0 < self.hop <= self.win_length <= self.n_fft):
@@ -38,21 +45,14 @@ class StftConfig:
             raise ConfigError(f"n_fft must be even, got {self.n_fft}")
         if self.compression <= 0:
             raise ConfigError(f"compression exponent must be positive, got {self.compression}")
-        w = self.window
-        if w is None:
-            w = periodic_hann(self.win_length)
-        w = np.asarray(w, dtype=np.float64)
-        if w.shape != (self.win_length,):
-            raise ConfigError(f"window length {w.shape} != win_length {self.win_length}")
-        if self.win_length < self.n_fft:
-            lpad = (self.n_fft - self.win_length) // 2
-            w = np.pad(w, (lpad, self.n_fft - self.win_length - lpad))
-        object.__setattr__(self, "window", w)
+        lpad = (self.n_fft - self.win_length) // 2
+        w = np.pad(periodic_hann(self.win_length), (lpad, self.n_fft - self.win_length - lpad))
         # overlap-added squared window must be flat on interior samples,
         # otherwise per-sample normalization would color the reconstruction
         dev = cola_deviation(w, self.hop)
         if dev > 1e-10:
             raise ConfigError(f"window fails constant-overlap-add at hop {self.hop} (dev {dev:.2e})")
+        object.__setattr__(self, "window", w)
 
     @property
     def n_bins(self) -> int:
@@ -64,9 +64,6 @@ class StftConfig:
 
     def frame_count(self, n_samples: int) -> int:
         return 1 + n_samples // self.hop
-
-    def _key(self):
-        return (self.n_fft, self.win_length, self.hop, self.window.tobytes())
 
 
 def cola_deviation(window: np.ndarray, hop: int) -> float:
@@ -83,8 +80,8 @@ def cola_deviation(window: np.ndarray, hop: int) -> float:
 
 @dataclass
 class AudioClip:
+    """One mono clip at the package's one sample rate (``wavio.SAMPLE_RATE``)."""
     samples: np.ndarray
-    sample_rate: int = 16000
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -116,25 +113,18 @@ def wrap_phase(p: np.ndarray) -> np.ndarray:
     return np.where(out == -np.pi, np.pi, out)
 
 
-# Per-config basis cache: cosine/sine analysis matrices and inverse weights.
-# Nothing is kept per signal length.
-_BASIS: dict = {}
-
-
-def _basis(cfg: StftConfig):
-    key = cfg._key()
-    hit = _BASIS.get(key)
-    if hit is None:
-        n, f = cfg.n_fft, cfg.n_bins
-        grid = 2.0 * np.pi * np.outer(np.arange(n), np.arange(f)) / n
-        cos = np.cos(grid)
-        sin = np.sin(grid)
-        rho = np.full(f, 2.0)
-        rho[0] = 1.0
-        rho[-1] = 1.0
-        hit = (cos, sin, cos * rho / n, sin * rho / n)
-        _BASIS[key] = hit
-    return hit
+@functools.cache
+def _basis(n: int):
+    """Cosine/sine analysis matrices and inverse weights of the n-point real
+    DFT, kept once per size; nothing is kept per signal length."""
+    f = n // 2 + 1
+    grid = 2.0 * np.pi * np.outer(np.arange(n), np.arange(f)) / n
+    cos = np.cos(grid)
+    sin = np.sin(grid)
+    rho = np.full(f, 2.0)
+    rho[0] = 1.0
+    rho[-1] = 1.0
+    return cos, sin, cos * rho / n, sin * rho / n
 
 
 def _frame_index(t: int, hop: int, n: int):
@@ -173,7 +163,7 @@ def stft_pair(x: Tensor, cfg: StftConfig):
     hop = cfg.hop
     n = cfg.n_fft
     t = cfg.frame_count(length)
-    cos, sin, _, _ = _basis(cfg)
+    cos, sin, _, _ = _basis(n)
     w = cfg.window
 
     xp = np.pad(x.data, ((0, 0), (pad, pad)), mode="reflect")
@@ -212,7 +202,7 @@ def istft_pair(re: Tensor, im: Tensor, cfg: StftConfig, out_len: int) -> Tensor:
     pad = cfg.pad
     hop = cfg.hop
     n = cfg.n_fft
-    _, _, cos_inv, sin_inv = _basis(cfg)
+    _, _, cos_inv, sin_inv = _basis(n)
     w = cfg.window
     padded = out_len + 2 * pad
     sq = np.broadcast_to(w * w, (1, t, n))

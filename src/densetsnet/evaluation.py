@@ -21,6 +21,8 @@ from .autodiff import Tensor
 from .dsp import AudioClip, StftConfig, stft_pair, wrap_phase
 from .errors import DataError
 
+SSNR_FRAME = 512  # 32 ms at 16 kHz
+SSNR_HOP = 256
 SSNR_FLOOR_DB = -10.0
 SSNR_CEIL_DB = 35.0
 SILENCE_RATIO = 1e-6
@@ -35,20 +37,15 @@ def _samples(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def ssnr(clean, est, frame: int = 512, hop: int = 256) -> float:
+def ssnr(clean, est) -> float:
     """Mean per-frame SNR in dB, clamped to [-10, 35], silence excluded."""
     c = _samples(clean)
     e = _samples(est)
     if c.shape != e.shape:
         raise DataError(f"ssnr length mismatch: clean {c.shape[0]} vs est {e.shape[0]}")
-    n = c.shape[0]
-    if n < frame:
-        starts = [0]
-        frame = n
-    else:
-        starts = range(0, n - frame + 1, hop)
+    frame = min(c.shape[0], SSNR_FRAME)  # a clip shorter than a frame is one frame
     ec, en = [], []
-    for s in starts:
+    for s in range(0, c.shape[0] - frame + 1, SSNR_HOP):
         cc = c[s:s + frame]
         dd = cc - e[s:s + frame]
         ec.append(float(cc @ cc))

@@ -1,9 +1,10 @@
 """Training objectives: the consistency-magnitude loss, the learned quality
 discriminator with its target labels, and the combined generator objective.
 
-The magnitude loss measures the estimate against the clean magnitude after
-pushing the estimate through synthesis-then-analysis, so the network is
-penalized for (magnitude, borrowed-phase) pairs no waveform can realize.
+The magnitude loss is ``mag_mse(clean, consistency_project(estimate, ...))``:
+the trainer pushes the estimate through synthesis-then-analysis first, so
+the network is penalized for (magnitude, borrowed-phase) pairs no waveform
+can realize.
 The discriminator predicts a normalized quality score for a (reference,
 estimate) magnitude pair; the generator can then be pulled toward estimates
 the discriminator scores highly (weight lambda2, off by default).
@@ -17,7 +18,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .dsp import StftConfig, consistency_project
 from .errors import ConfigError, ShapeError
 from .evaluation import SSNR_CEIL_DB, SSNR_FLOOR_DB, ssnr
 from .model import norm_hardswish_2d
@@ -35,25 +35,11 @@ class LossWeights:
         if self.lambda1 == 0 and self.lambda2 == 0:
             raise ConfigError("loss weights cannot both be zero")
 
-    @property
-    def p_ratio(self) -> float:
-        if self.lambda1 == 0:
-            raise ConfigError("P = lambda2/lambda1 undefined when lambda1 is 0")
-        return self.lambda2 / self.lambda1
-
 
 def mag_mse(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"magnitude shapes differ: {a.shape} vs {b.shape}")
     return ad.mean_all(ad.square(ad.sub(a, b)))
-
-
-def mag_consistency_loss(clean_mag: Tensor, est_mag: Tensor, noisy_phase,
-                         cfg: StftConfig, out_len: int) -> Tensor:
-    if clean_mag.shape != est_mag.shape:
-        raise ShapeError(f"magnitude shapes differ: {clean_mag.shape} vs {est_mag.shape}")
-    x_consis = consistency_project(est_mag, noisy_phase, cfg, out_len)
-    return mag_mse(clean_mag, x_consis)
 
 
 def generator_loss(weights: LossWeights, l_mag: Tensor, l_metric: Tensor | None = None) -> Tensor:

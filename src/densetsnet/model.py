@@ -10,7 +10,7 @@ dense_channel new ones to the running concatenation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,11 +58,6 @@ class ModelConfig:
         if bad:
             raise ConfigError(f"unknown drop target(s) {bad}; choose from {_DROPPABLE}")
         object.__setattr__(self, "drop", drop)
-
-
-def ablate(cfg: ModelConfig, drop: str) -> ModelConfig:
-    """Return a config whose named branch is replaced by identity."""
-    return replace(cfg, drop=tuple(cfg.drop) + (drop.lower(),))
 
 
 @dataclass
@@ -301,10 +296,6 @@ class DenseTsNet(_MaskNet):
                 lay.adjust_dw_w = self.store.uniform_fan_in(f"{base}/adjust_dw/w", (3, 3, c), 9)
                 lay.adjust_dw_b = self.store.zeros(f"{base}/adjust_dw/b", (c,))
             self.layers.append(lay)
-
-    @property
-    def layer_in_channels(self) -> list[int]:
-        return [lay.cin for lay in self.layers]
 
     def _adjust(self, lay: _TsLayer, h: Tensor) -> Tensor:
         a = ad.conv2d_pointwise(h, lay.adjust_w, lay.adjust_b)

@@ -217,13 +217,11 @@ def make_batch(ds: PairedDataset, rng, batch_size: int, seg: int,
 
 
 def _echoed_fields():
-    # (config class, key, type) for every field of the three configs except
-    # the STFT window array, which is derived from win_length
+    # (config class, key, type) for every field of the three configs
     out = []
     for cls in (ModelConfig, StftConfig, TrainConfig):
         hints = typing.get_type_hints(cls)
-        out += [(cls, f.name, hints[f.name]) for f in fields(cls)
-                if (cls, f.name) != (StftConfig, "window")]
+        out += [(cls, f.name, hints[f.name]) for f in fields(cls)]
     return tuple(out)
 
 
@@ -476,18 +474,20 @@ def _dump_abort(out_dir, step, batch, what):
 # synthetic paired data
 # ---------------------------------------------------------------------------
 
-def synth_dataset(n_pairs: int, seed: int, out_dir, duration_s: float = 3.0,
-                  snr_range=(0.0, 15.0)) -> dict:
+# SNRs of the synthetic pairs are drawn uniformly from this range, in dB
+SYNTH_SNR_DB = (0.0, 15.0)
+
+
+def synth_dataset(n_pairs: int, seed: int, out_dir, duration_s: float = 3.0) -> dict:
     """Paired harmonic-tone clips: clean plus tilt-shaped noise at a requested
-    SNR drawn from snr_range.  Deterministic per (n_pairs, seed)."""
-    from .wavio import wav_write
+    SNR drawn from SYNTH_SNR_DB.  Deterministic per (n_pairs, seed)."""
+    from .wavio import SAMPLE_RATE, wav_write
     out_dir = Path(out_dir)
     _make_dir(out_dir / "clean")
     _make_dir(out_dir / "noisy")
     rng = np.random.default_rng(seed)
-    sr = 16000
-    n = int(duration_s * sr)
-    t = np.arange(n) / sr
+    n = int(duration_s * SAMPLE_RATE)
+    t = np.arange(n) / SAMPLE_RATE
     rows = []
     for i in range(n_pairs):
         f0 = float(rng.uniform(90.0, 280.0))
@@ -497,18 +497,18 @@ def synth_dataset(n_pairs: int, seed: int, out_dir, duration_s: float = 3.0,
             sig += amp * np.sin(2 * np.pi * k * f0 * t + rng.uniform(0, 2 * np.pi))
         am = 0.55 + 0.45 * np.sin(2 * np.pi * rng.uniform(1.5, 4.0) * t + rng.uniform(0, 2 * np.pi))
         sig *= am
-        ramp = min(n, sr // 10)
+        ramp = min(n, SAMPLE_RATE // 10)
         sig[:ramp] *= np.linspace(0.0, 1.0, ramp)
         sig *= 0.35 / np.max(np.abs(sig))
 
         white = rng.normal(size=n)
         spec = np.fft.rfft(white)
-        freqs = np.fft.rfftfreq(n, 1.0 / sr)
+        freqs = np.fft.rfftfreq(n, 1.0 / SAMPLE_RATE)
         fc = rng.uniform(500.0, 4000.0)
         spec *= 1.0 / (1.0 + freqs / fc)
         noise = np.fft.irfft(spec, n=n)
 
-        snr_db = float(rng.uniform(*snr_range))
+        snr_db = float(rng.uniform(*SYNTH_SNR_DB))
         target = 10.0 ** (snr_db / 10.0)
         scale = np.sqrt((sig @ sig) / ((noise @ noise) * target))
         noisy = sig + scale * noise
@@ -562,7 +562,7 @@ def loss_study(dataset: PairedDataset, stft_cfg: StftConfig, train_cfg: TrainCon
     if not valid_items:
         raise ConfigError("loss_study scores the validation split, which is empty")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     results = {}
     rows = ["p,error_mag,error_pha,error_com,final_l_mag"]
     for p in p_values:

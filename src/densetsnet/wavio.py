@@ -1,4 +1,4 @@
-"""WAV persistence: 16-bit PCM mono at 16 kHz, nothing else.
+"""WAV persistence: 16-bit PCM mono at SAMPLE_RATE (16 kHz), nothing else.
 
 Floats map to ints as round(x * 32768) clipped to the int16 range, and back
 as i / 32768, so write-then-read of a file we produced is bit-exact and
@@ -14,48 +14,55 @@ import numpy as np
 from .dsp import AudioClip
 from .errors import DataError
 
+# The one sample rate the package reads, writes, synthesizes and enhances at.
+SAMPLE_RATE = 16000
 _SCALE = 32768.0
 
 
-def wav_read(path) -> AudioClip:
+def _read(path, data: bool):
+    """(frame count, the data chunk's bytes or None) of a WAV file whose
+    header says mono, 16-bit PCM at SAMPLE_RATE."""
     try:
         with wave.open(str(path), "rb") as w:
             channels = w.getnchannels()
             width = w.getsampwidth()
             rate = w.getframerate()
             n = w.getnframes()
-            raw = w.readframes(n)
+            if channels != 1:
+                raise DataError(f"{path}: expected mono, got {channels} channels; downmix first")
+            if width != 2:
+                raise DataError(f"{path}: expected 16-bit PCM, got {8 * width}-bit")
+            if rate != SAMPLE_RATE:
+                raise DataError(f"{path}: expected {SAMPLE_RATE} Hz, got {rate} Hz; "
+                                "resample first")
+            return n, (w.readframes(n) if data else None)
     except (wave.Error, EOFError) as e:
         raise DataError(f"{path}: not a readable WAV file ({e})") from None
     except RuntimeError:  # wave's bare error for a chunk seek past its RIFF chunk
         raise DataError(f"{path}: not a readable WAV file (a chunk size runs past "
                         "its RIFF chunk)") from None
-    if channels != 1:
-        raise DataError(f"{path}: expected mono, got {channels} channels; downmix first")
-    if width != 2:
-        raise DataError(f"{path}: expected 16-bit PCM, got {8 * width}-bit")
-    if rate != 16000:
-        raise DataError(f"{path}: expected 16000 Hz, got {rate} Hz; resample first")
+    except OSError as e:  # a directory, a file without read permission, ...
+        raise DataError(f"{path}: cannot read ({e.strerror or e})") from None
+
+
+def wav_read(path) -> AudioClip:
+    _, raw = _read(path, data=True)
     if len(raw) % 2:
         raise DataError(f"{path}: data chunk ends mid-sample ({len(raw)} bytes); "
                         "the file is truncated")
     ints = np.frombuffer(raw, dtype="<i2")
-    return AudioClip(ints.astype(np.float64) / _SCALE, sample_rate=rate)
+    return AudioClip(ints.astype(np.float64) / _SCALE)
 
 
-def wav_seconds(path) -> float:
-    """Duration of a WAV file, read from its header alone."""
-    try:
-        with wave.open(str(path), "rb") as w:
-            return w.getnframes() / w.getframerate()
-    except (wave.Error, EOFError) as e:
-        raise DataError(f"{path}: not a readable WAV file ({e})") from None
+def wav_frames(path) -> int:
+    """Sample count of a WAV file, read from its header alone after the
+    same format check as ``wav_read``."""
+    return _read(path, data=False)[0]
 
 
-def wav_write(path, clip_or_samples, sample_rate: int = 16000):
+def wav_write(path, clip_or_samples):
     if isinstance(clip_or_samples, AudioClip):
         samples = clip_or_samples.samples
-        sample_rate = clip_or_samples.sample_rate
     else:
         samples = np.asarray(clip_or_samples, dtype=np.float64)
     if samples.ndim != 1:
@@ -67,7 +74,7 @@ def wav_write(path, clip_or_samples, sample_rate: int = 16000):
         with open(path, "wb") as f, wave.open(f, "wb") as w:
             w.setnchannels(1)
             w.setsampwidth(2)
-            w.setframerate(sample_rate)
+            w.setframerate(SAMPLE_RATE)
             w.writeframes(ints.tobytes())
     except OSError as e:
         raise DataError(f"{path}: cannot write ({e.strerror or e})") from None

@@ -7,6 +7,7 @@ enhance/eval/inspect tests all reuse it.  Exit-code contract: 0 ok, 2 config,
 
 import argparse
 import json
+import wave
 from pathlib import Path
 
 import numpy as np
@@ -253,6 +254,25 @@ def test_enhance_directory_checks_every_target_before_writing(trained, tmp_path,
         assert len(wav_read(out_dir / name)) == len(wav_read(trained["noisy"] / name))
 
 
+def test_enhance_directory_checks_every_input_before_writing(trained, tmp_path, capsys):
+    # a.wav is fine, b.wav is at 8 kHz: found before a.wav is enhanced, and
+    # before the output directory is created
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    (in_dir / "a.wav").write_bytes((trained["noisy"] / "utt000.wav").read_bytes())
+    with wave.open(str(in_dir / "b.wav"), "wb") as w:
+        w.setnchannels(1)
+        w.setsampwidth(2)
+        w.setframerate(8000)
+        w.writeframes(np.zeros(4000, dtype="<i2").tobytes())
+    out_dir = tmp_path / "out"
+    assert main(["enhance", "--ckpt", str(trained["ckpt"]), "--in", str(in_dir),
+                 "--out", str(out_dir)]) == 3
+    err = capsys.readouterr().err
+    assert "b.wav" in err and "8000 Hz" in err, err
+    assert not out_dir.exists()
+
+
 def test_enhance_reports_precision_audio_and_rtf(trained, tmp_path, capsys):
     rc = main(["enhance", "--ckpt", str(trained["ckpt"]),
                "--in", str(trained["noisy"]), "--out", str(tmp_path / "enh")])
@@ -270,7 +290,7 @@ def test_enhance_refuses_a_clip_whose_estimate_exceeds_available_memory(
         trained, tmp_path, capsys, monkeypatch):
     """Before any clip runs, enhance estimates each clip's peak from its
     length and exits 3, naming the clip and the estimate, when that exceeds
-    the memory the kernel reports as available; no WAV is written."""
+    the memory the kernel reports as available; nothing is created."""
     from densetsnet import cli
     from densetsnet.model import build_model
 
@@ -284,7 +304,7 @@ def test_enhance_refuses_a_clip_whose_estimate_exceeds_available_memory(
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert str(src) in err and f"about {need / 2**20:.0f} MiB" in err, err
-    assert not any((tmp_path / "enh").glob("*.wav"))
+    assert not (tmp_path / "enh").exists()
     monkeypatch.setattr(cli, "_available_bytes", lambda: need)
     assert main(argv) == 0
 
@@ -353,8 +373,9 @@ def test_enhance_edited_checkpoint_header_exits_3(trained, tmp_path, capsys):
 
 
 def test_enhance_unwritable_targets_exit_3_before_writing(trained, tmp_path, capsys):
-    # a missing parent directory, a target that is a directory and an output
-    # directory that is a file are all found before any file is written
+    # a missing parent directory, a target that is a directory, an output
+    # directory that is a file and one that cannot be created under a file
+    # are all found before any file is written
     src = trained["noisy"] / "utt000.wav"
     existing = tmp_path / "existing"
     existing.mkdir()
@@ -362,7 +383,9 @@ def test_enhance_unwritable_targets_exit_3_before_writing(trained, tmp_path, cap
     taken.write_bytes(b"")
     for source, dst, says in ((src, tmp_path / "missing_dir" / "x.wav", "missing_dir"),
                               (src, existing, "is a directory"),
-                              (trained["noisy"], taken, "taken.wav is not a directory")):
+                              (trained["noisy"], taken, "taken.wav is not a directory"),
+                              (trained["noisy"], taken / "enh",
+                               "taken.wav/enh: cannot create directory")):
         rc = main(["enhance", "--ckpt", str(trained["ckpt"]), "--in", str(source),
                    "--out", str(dst), "--force"])
         assert rc == 3, dst

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import densetsnet.autodiff as ad
+import densetsnet.dsp as dsp
 from densetsnet.autodiff import Tensor, backward, grad_check
 from densetsnet.dsp import (AudioClip, ComplexSpec, StftConfig, cola_deviation,
                             consistency_project, istft, istft_pair,
@@ -31,10 +32,17 @@ def test_default_window_satisfies_cola():
 
 
 def test_non_cola_window_rejected():
-    bad = np.ones(400)
-    bad[0] = 0.3  # breaks the flat overlap
-    with pytest.raises(ConfigError):
-        StftConfig(window=bad)
+    # the Hann window overlap-adds flat at a quarter of its length, not a half
+    with pytest.raises(ConfigError, match=r"hop 200 \(dev 2\.50e-01\)"):
+        StftConfig(hop=200)
+
+
+def test_equal_configs_compare_and_hash_equal_and_share_one_basis():
+    a, b = StftConfig(), StftConfig(n_fft=400, win_length=400, hop=100)
+    assert a == b and hash(a) == hash(b) and {a: "x"}[b] == "x"
+    assert a != StftConfig(hop=50) and a != StftConfig(compression=0.5)
+    assert np.array_equal(a.window, periodic_hann(400))
+    assert dsp._basis(a.n_fft) is dsp._basis(b.n_fft)
 
 
 def test_config_validation():
@@ -122,10 +130,8 @@ def test_non_multiple_nfft_adjoints():
 
 def test_istft_keeps_no_per_length_state():
     """Nothing allocated in dsp.py outlives an istft call once the
-    per-config basis is built: no cache grows with each new clip length."""
+    per-size basis is built: no cache grows with each new clip length."""
     import tracemalloc
-
-    import densetsnet.dsp as dsp
 
     def synth(n):
         spec = Tensor(np.zeros((1, CFG.frame_count(n), CFG.n_bins)))

@@ -8,23 +8,26 @@ import pytest
 
 import densetsnet.autodiff as ad
 from densetsnet.autodiff import Tensor, backward
-from densetsnet.dsp import AudioClip, StftConfig, stft
+from densetsnet.dsp import AudioClip, StftConfig, consistency_project, stft
 from densetsnet.errors import ConfigError, ShapeError
 from densetsnet.losses import (Discriminator, LossWeights, discriminator_loss,
-                               generator_loss, mag_consistency_loss, mag_mse,
-                               metric_loss, proxy_quality)
+                               generator_loss, mag_mse, metric_loss, proxy_quality)
 
 CFG = StftConfig()
 
 
+def consistency_loss(clean_mag, est_mag, noisy_phase, out_len):
+    """The training loss, as ``train`` builds it."""
+    return mag_mse(clean_mag, consistency_project(est_mag, noisy_phase, CFG, out_len))
+
+
 def test_loss_weights_validation():
-    assert LossWeights(1.0, 0.05).p_ratio == 0.05
+    LossWeights(1.0, 0.05)
+    LossWeights(0.0, 1.0)
     with pytest.raises(ConfigError):
         LossWeights(0.0, 0.0)
     with pytest.raises(ConfigError):
         LossWeights(-1.0, 0.0)
-    with pytest.raises(ConfigError):
-        LossWeights(0.0, 1.0).p_ratio
 
 
 def test_mag_mse_matches_numpy():
@@ -41,8 +44,7 @@ def test_consistency_loss_zero_at_clean_fixed_point():
     rng = np.random.default_rng(1)
     x = rng.standard_normal(1600) * 0.3
     spec = stft(Tensor(x[None, :]), CFG)
-    loss = mag_consistency_loss(spec.mag, Tensor(spec.mag.data.copy()),
-                                spec.phase, CFG, 1600)
+    loss = consistency_loss(spec.mag, Tensor(spec.mag.data.copy()), spec.phase, 1600)
     assert loss.item() < 1e-12
 
 
@@ -54,8 +56,7 @@ def test_consistency_loss_penalizes_unrealizable_pairs():
     y = rng.standard_normal(1600) * 0.3
     sx = stft(Tensor(x[None, :]), CFG)
     sy = stft(Tensor(y[None, :]), CFG)
-    loss = mag_consistency_loss(sx.mag, Tensor(sx.mag.data.copy()),
-                                sy.phase, CFG, 1600)
+    loss = consistency_loss(sx.mag, Tensor(sx.mag.data.copy()), sy.phase, 1600)
     assert loss.item() > 1e-6
 
 
@@ -64,7 +65,7 @@ def test_consistency_loss_gradient_flows_to_estimate():
     x = rng.standard_normal(800) * 0.3
     spec = stft(Tensor(x[None, :]), CFG)
     est = Tensor(np.abs(rng.standard_normal(spec.mag.shape)), requires_grad=True)
-    loss = mag_consistency_loss(spec.mag, est, spec.phase, CFG, 800)
+    loss = consistency_loss(spec.mag, est, spec.phase, 800)
     backward(loss)
     assert est.grad is not None and np.any(est.grad != 0)
 

@@ -9,7 +9,7 @@ from densetsnet.autodiff import Tensor, backward
 from densetsnet.dsp import StftConfig
 from densetsnet.errors import ConfigError, DataError, ShapeError
 from densetsnet.model import (CHUNK_POSITIONS, RESIDUAL_GAIN, ClassicTsNet, DenseTsNet,
-                              ModelConfig, _row_chunks, ablate, build_model)
+                              ModelConfig, _row_chunks, build_model)
 
 from helpers import closure_tensors
 
@@ -156,9 +156,9 @@ def test_classic_golden_and_law_sweep():
 
 def test_layer_in_channels_growth():
     model = DenseTsNet(ModelConfig(), SCFG)
-    assert model.layer_in_channels == [4, 8, 12, 16]
+    assert [lay.cin for lay in model.layers] == [4, 8, 12, 16]
     model6 = DenseTsNet(ModelConfig(dense_channel=3, depth=6), SCFG)
-    assert model6.layer_in_channels == [3, 6, 9, 12, 15, 18]
+    assert [lay.cin for lay in model6.layers] == [3, 6, 9, 12, 15, 18]
 
 
 def test_layer_table_partitions_totals():
@@ -304,9 +304,8 @@ def test_drop_branches_shrink_and_run():
     bare.forward(Tensor(mag))
 
 
-def test_ablate_helper_accumulates():
-    cfg = ablate(ablate(ModelConfig(), "LKE"), "ca")
-    assert cfg.drop == ("ca", "lke")
+def test_drop_set_is_normalized_and_checked():
+    assert ModelConfig(drop=("LKE", "ca", "lke")).drop == ("ca", "lke")
     with pytest.raises(ConfigError):
         ModelConfig(drop=("nothere",))
 

@@ -645,6 +645,14 @@ def test_loss_study_needs_validation_clips(synth_dir, tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_loss_study_reports_an_unusable_output_path(dataset, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"")
+    with pytest.raises(DataError, match="taken: cannot create directory"):
+        training.loss_study(dataset, StftConfig(), _tiny_train_cfg(max_steps=1), taken)
+    assert taken.read_bytes() == b""
+
+
 @pytest.mark.parametrize("model_cfg, lambda2", [
     (ModelConfig(), 0.0),
     (ModelConfig(drop=("lke",)), 0.0),

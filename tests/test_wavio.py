@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from densetsnet.dsp import AudioClip
 from densetsnet.errors import DataError
-from densetsnet.wavio import wav_read, wav_write
+from densetsnet.wavio import SAMPLE_RATE, wav_frames, wav_read, wav_write
 
 from helpers import FUZZ, corrupt_bytes
 
@@ -21,7 +21,8 @@ def test_write_read_round_trip_bit_exact(tmp_path):
     wav_write(p, x)
     back = wav_read(p)
     assert np.array_equal(back.samples, x)
-    assert back.sample_rate == 16000
+    with wave.open(str(p), "rb") as w:
+        assert w.getframerate() == SAMPLE_RATE == 16000
 
 
 def test_second_generation_is_stable(tmp_path):
@@ -98,6 +99,33 @@ def test_read_rejects_wrong_width(tmp_path):
         w.writeframes(bytes(100))
     with pytest.raises(DataError, match="16-bit"):
         wav_read(p)
+
+
+def test_wav_frames_reads_the_header_after_the_same_check(tmp_path):
+    p = tmp_path / "x.wav"
+    wav_write(p, np.zeros(1234))
+    assert wav_frames(p) == 1234
+    for channels, width, rate, says in ((2, 2, 16000, "mono"), (1, 1, 16000, "16-bit"),
+                                        (1, 2, 8000, "16000 Hz")):
+        bad = tmp_path / f"{channels}_{width}_{rate}.wav"
+        with wave.open(str(bad), "wb") as w:
+            w.setnchannels(channels)
+            w.setsampwidth(width)
+            w.setframerate(rate)
+            w.writeframes(bytes(200))
+        with pytest.raises(DataError, match=says):
+            wav_frames(bad)
+    garbage = tmp_path / "junk.wav"
+    garbage.write_bytes(b"RIFFjunkjunkjunk")
+    with pytest.raises(DataError, match="not a readable WAV"):
+        wav_frames(garbage)
+
+
+def test_read_of_a_path_that_is_not_a_readable_file_names_it(tmp_path):
+    for path in (tmp_path / "missing.wav", tmp_path):
+        for read in (wav_read, wav_frames):
+            with pytest.raises(DataError, match=f"{path}: cannot read"):
+                read(path)
 
 
 def test_read_rejects_garbage(tmp_path):

@@ -17,18 +17,22 @@ each keeps less on the tape, after Chen et al. 2016 ("Training Deep Nets
 with Sublinear Memory Cost") and Rota Bulo et al. 2018 ("In-Place Activated
 BatchNorm").  Each backward recomputes only the maps its grads read:
 
-- ``norm_pointwise_gate`` is ``simple_gate(conv1d(instance_norm(...)))``
-  for a kernel-1 conv.  It keeps only the normalized input ``xhat`` (and
-  the per-channel ``1/std``); backward recomputes the affine output and
-  the 1x1 product, which the gate's grad reads.
+- ``norm_pointwise_gate`` is ``conv1d(simple_gate(conv1d(instance_norm(
+  ...))))`` for a kernel-1 conv and then a depthwise one.  It keeps only
+  the normalized input ``xhat`` (and the per-channel ``1/std``); backward
+  recomputes the affine output, the 1x1 product, which the gate's grad
+  reads, and the gate, which the depthwise weight grad reads (by FFT, its
+  spectrum), but not the depthwise product, which no grad reads.
 - ``norm_hardswish`` is ``hardswish(instance_norm(...))``.  It keeps only
   ``xhat``, as ``instance_norm`` itself does.
 - ``norm_hardswish_pointwise`` is ``conv1d(norm_hardswish(...))`` for a
   kernel-1 conv.  It keeps only ``xhat``; backward recomputes the conv's
   input for the weight grad, but not the product.
-- ``pointwise_learnable_sigmoid`` is ``learnable_sigmoid(conv1d(...))``
-  for a kernel-1 conv.  It keeps its input and the sigmoid; backward
-  recomputes the product for the grad of ``alpha``.
+- ``pointwise_learnable_sigmoid`` is ``learnable_sigmoid(conv1d(conv1d(
+  ...)))`` for a depthwise conv and then a kernel-1 one.  It keeps its
+  input and the sigmoid, which the model's tape holds anyway; backward
+  recomputes the depthwise output, which the 1x1 weight grad reads, and
+  the 1x1 product for the grad of ``alpha``.
 - ``gated_pointwise(x, ch, sp, w, b)`` is ``conv1d(mul(mul(x, ch), sp),
   w, b)`` for a kernel-1 conv.  It keeps its operands, which the ops that
   made them hold already, and recomputes ``x * ch`` and the conv's input.
@@ -46,7 +50,9 @@ ahead of the taps.  All four public convs record through one node,
 The fused ops run their 1x1 products on ``_dense_taps`` directly, and
 their backwards on ``_pointwise_backward``, the backward of its one-tap
 path, which starts from a given input and does not run the forward
-product again.
+product again.  Their depthwise convs go through ``_depthwise_1d``, the
+router of the depthwise ``conv1d``, so both take the same kernel; a
+backward that needs no depthwise output asks it for the backward alone.
 
 ``backward`` walks the records once in reverse topological order and
 consumes them as it goes: each record drops its parents and its closure as
@@ -637,10 +643,11 @@ def _pointwise_backward(x, w, g, want_gx):
     return gx, gw, gseg.sum(axis=0)
 
 
-def _depthwise_taps(x, w, b, dilation, want_gx):
+def _depthwise_taps(x, w, b, dilation, want_gx, product=True):
     """Per-channel SAME cross-correlation, stride 1, of x (N, *S, C) with
     w (*K, C) plus b (C,), as ``_dense_taps``; each position sums its taps
-    in the order a padded copy would."""
+    in the order a padded copy would.  Without ``product`` the output is
+    None and only the backward is built."""
     size, kernel = x.shape[1:-1], w.shape[:-1]
     taps = []
     for t in np.ndindex(*kernel):
@@ -652,10 +659,12 @@ def _depthwise_taps(x, w, b, dilation, want_gx):
             src.append(slice(start + shift, stop + shift))
         if all(sl.start < sl.stop for sl in dst[1:]):
             taps.append((t, tuple(dst), tuple(src)))
-    out = np.zeros_like(x)
-    for t, dst, src in taps:
-        out[dst] += x[src] * w[t]
-    out += b
+    out = None
+    if product:
+        out = np.zeros_like(x)
+        for t, dst, src in taps:
+            out[dst] += x[src] * w[t]
+        out += b
     c = x.shape[-1]
 
     def bwd(g):
@@ -704,10 +713,26 @@ def conv1d(x, w, b, groups=1, dilation=1):
         raise ShapeError(
             f"conv1d weight dim 1 is {cin_g}, expected Cin/groups = {cin // groups}")
     if groups == cin and cout == cin:  # depthwise
-        if dilation == 1 and k >= 9 and length >= 2:
-            return _conv_node("conv1d", x, w, b, _fft_taps, w.data[:, 0, :])
-        return _conv_node("conv1d", x, w, b, _depthwise_taps, w.data[:, 0, :], (dilation,))
+        return _conv_node("conv1d", x, w, b, _depthwise_1d, w.data[:, 0, :], dilation)
     return _conv_node("conv1d", x, w, b, _dense_taps, w.data, (1,), (dilation,), groups)
+
+
+def _depthwise_1d(x, w, b, dilation, want_gx, product=True):
+    """The depthwise case of ``conv1d`` over x (N, L, C) with w (K, C) plus
+    b (C,), routed by the one rule that ``conv1d`` and the fused ops share:
+    ``_fft_taps`` for 9 or more undilated taps over L >= 2, where
+    measurement puts the FFT ahead of the taps, else ``_depthwise_taps``.
+
+    ``x`` may also be a pair (h1, h2) whose product is the input: a gate's
+    two halves, which the FFT multiplies straight into its padded buffer.
+    Without ``product`` the output is None and only the backward is built.
+    """
+    length = (x[0] if isinstance(x, tuple) else x).shape[1]
+    if dilation == 1 and w.shape[0] >= 9 and length >= 2:
+        return _fft_taps(x, w, b, want_gx, product)
+    if isinstance(x, tuple):
+        x = x[0] * x[1]
+    return _depthwise_taps(x, w, b, (dilation,), want_gx, product)
 
 
 def _next_fast_len(n):
@@ -722,25 +747,38 @@ def _next_fast_len(n):
         n += 1
 
 
-def _fft_taps(x, w, b, want_gx):
+def _fft_taps(x, w, b, want_gx, product=True):
     """Depthwise SAME cross-correlation along L of x (N, L, C) with w (K, C)
-    plus b (C,) by FFT, as ``_depthwise_taps``."""
+    plus b (C,) by FFT, as ``_depthwise_taps``; ``x`` and ``product`` as in
+    ``_depthwise_1d``.  The backward keeps the input's spectrum."""
     # Linear correlation via FFT along L; any transform size >= L + K - 1
-    # is wrap-free for taps 0..K-1, so round up to a fast composite.
+    # is wrap-free for taps 0..K-1, so round up to a fast composite.  The
+    # input is written once, into a zero buffer of that size at the low
+    # SAME padding.
     # numpy 2's np.fft.rfft passes its default scale as a Python int, which
     # sends a float32 input through pocketfft's float64 loop (twice the
     # bytes and time); "ortho" scales in the input's dtype.  float64 keeps
     # the default, so its values stay bit for bit.  Under "ortho" xf and gf
     # each carry 1/sqrt(nf), so the weight grad's inverse adds no 1/nf.
-    dtype = x.dtype
+    parts = x if isinstance(x, tuple) else (x,)
+    n, length, c = parts[0].shape
+    dtype = np.result_type(*parts)
     norm, gw_norm = ("backward", "backward") if dtype == np.float64 else ("ortho", "forward")
-    length, k = x.shape[1], w.shape[0]
+    k = w.shape[0]
     pl = (k - 1) // 2
     nf = _next_fast_len(length + k - 1)
-    xf = np.fft.rfft(np.pad(x, ((0, 0), (pl, k - 1 - pl), (0, 0))), n=nf, axis=1, norm=norm)
+    xp = np.zeros((n, nf, c), dtype)
+    if len(parts) == 2:
+        np.multiply(*parts, out=xp[:, pl:pl + length])
+    else:
+        xp[:, pl:pl + length] = x
+    xf = np.fft.rfft(xp, axis=1, norm=norm)
+    del xp
     wf = np.fft.rfft(w, n=nf, axis=0)
-    out = np.fft.irfft(xf * np.conj(wf)[None], n=nf, axis=1, norm=norm)[:, :length, :]
-    out = out.astype(dtype, copy=False) + b
+    out = None
+    if product:
+        out = np.fft.irfft(xf * np.conj(wf)[None], n=nf, axis=1, norm=norm)[:, :length, :]
+        out = out.astype(dtype, copy=False) + b
 
     def bwd(g):
         gf = np.fft.rfft(g, n=nf, axis=1, norm=norm)
@@ -882,39 +920,56 @@ def _pointwise_cout(op, shape, w, b):
     return cout
 
 
-def norm_pointwise_gate(x, gamma, beta, w, b, eps=1e-5):
-    """``simple_gate(conv1d(instance_norm(x, gamma, beta), w, b))`` for a
-    kernel-1 conv with ``w`` of shape (1, C, 2 * Cg), as one node, bit for bit.
+def _depthwise_check(op, w, b, c):
+    """Check a fused op's depthwise conv weight (K, 1, C) and bias (C,)."""
+    if w.ndim != 3 or w.shape[1:] != (1, c):
+        raise ShapeError(f"{op} depthwise weight has shape {w.shape}, expected (K, 1, {c})")
+    if b.shape != (c,):
+        raise ShapeError(f"{op} depthwise bias has shape {b.shape}, expected ({c},)")
+
+
+def norm_pointwise_gate(x, gamma, beta, w, b, dw_w, dw_b, eps=1e-5):
+    """``conv1d(simple_gate(conv1d(instance_norm(x, gamma, beta), w, b)), dw_w,
+    dw_b, groups=Cg)`` for a kernel-1 conv with ``w`` of shape (1, C, 2 * Cg)
+    and a depthwise conv with ``dw_w`` of shape (K, 1, Cg), as one node, bit
+    for bit.
 
     The closure keeps only ``xhat``, where the composed ops keep x, the
-    norm's output and the 2 * Cg-channel conv output; backward recomputes
-    the affine output and the 1x1 product.
+    norm's output, the 2 * Cg-channel conv output and the gate's output or
+    its spectrum; backward recomputes the affine output, the 1x1 product
+    and the gate, and the gate's spectrum on the FFT route, but not the
+    depthwise product, which no grad reads.
     """
-    xhat, inv = _norm_core(x, gamma, beta, eps, "norm_pointwise_gate")
-    c2 = _pointwise_cout("norm_pointwise_gate", x.shape, w, b)
+    op = "norm_pointwise_gate"
+    xhat, inv = _norm_core(x, gamma, beta, eps, op)
+    c2 = _pointwise_cout(op, x.shape, w, b)
     if c2 % 2:
-        raise ShapeError(f"norm_pointwise_gate needs an even Cout, got {c2}")
+        raise ShapeError(f"{op} needs an even Cout, got {c2}")
     c = c2 // 2
+    _depthwise_check(op, dw_w, dw_b, c)
     gd, bd, wd, cb, dtype = gamma.data, beta.data, w.data, b.data, x.dtype
+    dwd, dwb, dw_shape = dw_w.data[:, 0, :], dw_b.data, dw_w.shape
     y = _norm_affine(xhat, gd, bd, dtype)
-    if not _records(x, gamma, beta, w, b):
+    if not _records(x, gamma, beta, w, b, dw_w, dw_b):
         xhat = None  # nothing reads it again: free it before the product
     z = _pointwise(y, wd, cb)
     del y
-    out = z[..., :c] * z[..., c:]
+    out = _depthwise_1d((z[..., :c], z[..., c:]), dwd, dwb, 1, False)[0]
     del z
 
     def bwd(g):
         y = _norm_affine(xhat, gd, bd, dtype)
         z = _pointwise(y, wd, cb)
-        gz = np.empty(g.shape[:-1] + (c2,), np.result_type(g, z))
-        np.multiply(g, z[..., c:], out=gz[..., :c])
-        np.multiply(g, z[..., :c], out=gz[..., c:])
-        del z
+        gh, gdw, gdb = _depthwise_1d((z[..., :c], z[..., c:]), dwd, dwb, 1, True,
+                                     product=False)[1](g)
+        gz = np.empty(gh.shape[:-1] + (c2,), np.result_type(gh, z))
+        np.multiply(gh, z[..., c:], out=gz[..., :c])
+        np.multiply(gh, z[..., :c], out=gz[..., c:])
+        del z, gh
         gy, gw, gb = _pointwise_backward(y, wd, gz, True)
         del y, gz
-        return _norm_backward(gy, xhat, inv, gd, dtype) + (gw, gb)
-    return _make(out, (x, gamma, beta, w, b), bwd)
+        return _norm_backward(gy, xhat, inv, gd, dtype) + (gw, gb, gdw.reshape(dw_shape), gdb)
+    return _make(out, (x, gamma, beta, w, b, dw_w, dw_b), bwd)
 
 
 def norm_hardswish_pointwise(x, gamma, beta, w, b, eps=1e-5):
@@ -944,28 +999,42 @@ def norm_hardswish_pointwise(x, gamma, beta, w, b, eps=1e-5):
     return _make(out, (x, gamma, beta, w, b), bwd)
 
 
-def pointwise_learnable_sigmoid(x, w, b, alpha, beta=2.0):
-    """``learnable_sigmoid(conv1d(x, w, b), alpha, beta)`` for a kernel-1
-    conv with ``w`` of shape (1, C, Cout), as one node, bit for bit.
+def pointwise_learnable_sigmoid(x, dw_w, dw_b, w, b, alpha, beta=2.0):
+    """``learnable_sigmoid(conv1d(conv1d(x, dw_w, dw_b, groups=C), w, b),
+    alpha, beta)`` for a depthwise conv with ``dw_w`` of shape (K, 1, C)
+    and a kernel-1 conv with ``w`` of shape (1, C, Cout), as one node, bit
+    for bit.
 
     The closure keeps x and the sigmoid, where the composed ops also keep
-    the 1x1 product; backward recomputes the product only for the grad of
-    ``alpha``, the one grad that reads it.
+    the depthwise output and the 1x1 product; backward recomputes the
+    depthwise output, which the 1x1 weight grad reads, and the product
+    only for the grad of ``alpha``, the one grad that reads it.
     """
-    cout = _pointwise_cout("pointwise_learnable_sigmoid", x.shape, w, b)
+    op = "pointwise_learnable_sigmoid"
+    cout = _pointwise_cout(op, x.shape, w, b)
+    _depthwise_check(op, dw_w, dw_b, x.shape[-1])
     if alpha.shape != (cout,):
-        raise ShapeError(
-            f"pointwise_learnable_sigmoid alpha has shape {alpha.shape}, expected ({cout},)")
+        raise ShapeError(f"{op} alpha has shape {alpha.shape}, expected ({cout},)")
     c = float(beta)
     xd, wd, cb, a = x.data, w.data, b.data, alpha.data
+    dwd, dwb, dw_shape = dw_w.data[:, 0, :], dw_b.data, dw_w.shape
     want_x, want_a = x.requires_grad, alpha.requires_grad
-    s = _scaled_sigmoid(_pointwise(xd, wd, cb), a)
+    s = _scaled_sigmoid(_pointwise(_depthwise_1d(xd, dwd, dwb, 1, False)[0], wd, cb), a)
 
     def bwd(g):
         gs = _scaled_sigmoid_grad(g, s, c)
-        ga = (gs * _pointwise(xd, wd, cb)).reshape(-1, cout).sum(axis=0) if want_a else None
-        return _pointwise_backward(xd, wd, gs * a, want_x) + (ga,)
-    return _make(s if c == 1.0 else s * c, (x, w, b, alpha), bwd)
+        d, d_bwd = _depthwise_1d(xd, dwd, dwb, 1, want_x)
+        ga = None
+        if want_a:  # products commute bit for bit, so both run in place
+            ga = _pointwise(d, wd, cb)
+            ga *= gs
+            ga = ga.reshape(-1, cout).sum(axis=0)
+        gs *= a
+        gd, gw, gb = _pointwise_backward(d, wd, gs, True)
+        del d, gs
+        gx, gdw, gdb = d_bwd(gd)
+        return gx, gdw.reshape(dw_shape), gdb, gw, gb, ga
+    return _make(s if c == 1.0 else s * c, (x, dw_w, dw_b, w, b, alpha), bwd)
 
 
 def gated_pointwise(x, ch, sp, w, b):

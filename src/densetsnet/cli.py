@@ -130,7 +130,9 @@ def cmd_train(args) -> int:
     log = None if args.quiet else print
     res = train(model_cfg, stft_cfg, train_cfg, ds, out_dir,
                 resume=args.resume, log=log)
-    print(f"trained {train_cfg.max_steps} steps; curves: {res.curves_path}")
+    ran = len(res.losses)
+    note = "" if ran == train_cfg.max_steps else f", {ran} of them in this run"
+    print(f"trained {train_cfg.max_steps} steps{note}; curves: {res.curves_path}")
     if res.checkpoints:
         print(f"last checkpoint: {res.checkpoints[-1]}")
     if res.final_val:

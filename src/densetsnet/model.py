@@ -119,8 +119,8 @@ def mvgb_forward(x: Tensor, p: MvgbParams) -> Tensor:
     # view gates with a constant 1 in g's dtype: x * 1.0 == x exactly, so
     # every drop set runs the one fused tail and matches the composed ops.
     if p.lke:
-        g = ad.norm_pointwise_gate(x, p.norm_g, p.norm_b, p.lke["pw_in_w"], p.lke["pw_in_b"])
-        g = ad.conv1d(g, p.lke["dw_w"], p.lke["dw_b"], groups=p.c)
+        g = ad.norm_pointwise_gate(x, p.norm_g, p.norm_b, p.lke["pw_in_w"], p.lke["pw_in_b"],
+                                   p.lke["dw_w"], p.lke["dw_b"])
         g = ad.norm_hardswish_pointwise(g, p.lke["norm_g"], p.lke["norm_b"],
                                         p.lke["pw_out_w"], p.lke["pw_out_b"])
     else:
@@ -129,9 +129,8 @@ def mvgb_forward(x: Tensor, p: MvgbParams) -> Tensor:
     if p.ca:
         ch = ad.conv1d(ad.mean(g, axis=1, keepdims=True), p.ca["w"], p.ca["b"])
     if p.lsg:
-        sp = ad.conv1d(g, p.lsg["dw_w"], p.lsg["dw_b"], groups=p.c)
-        sp = ad.pointwise_learnable_sigmoid(sp, p.lsg["pw_w"], p.lsg["pw_b"], p.lsg["alpha"],
-                                            beta=1.0)
+        sp = ad.pointwise_learnable_sigmoid(g, p.lsg["dw_w"], p.lsg["dw_b"], p.lsg["pw_w"],
+                                            p.lsg["pw_b"], p.lsg["alpha"], beta=1.0)
     return ad.add(x, ad.gated_pointwise(g, ch, sp, p.fuse_w, p.fuse_b))
 
 

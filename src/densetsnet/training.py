@@ -363,6 +363,9 @@ def train(model_cfg: ModelConfig, stft_cfg: StftConfig, train_cfg: TrainConfig,
     if resume is not None:
         arrays, saved_echo, extra = load_checkpoint(resume)
         _check_resume_echo(saved_echo, echo)
+        if train_cfg.max_steps < int(extra["step"]):
+            raise ConfigError(f"max_steps {train_cfg.max_steps} is below the checkpoint's "
+                              f"step {extra['step']}: {resume} has trained past it")
         model.store.load_state({k[2:]: v for k, v in arrays.items() if k.startswith("p/")})
         opt.load_state(arrays, "", extra["opt_t"])
         if disc is not None and any(k.startswith("dp/") for k in arrays):

@@ -358,11 +358,22 @@ def test_learnable_sigmoid_is_the_composed_ops_bit_for_bit(beta):
         np.testing.assert_array_equal(fused, composed)
 
 
-# fused op -> (composed ops it stands for, operand shapes)
+def _gate_composed(x, g, b, w, c, dw, db):
+    gate = ad.simple_gate(ad.conv1d(ad.instance_norm(x, g, b), w, c))
+    return ad.conv1d(gate, dw, db, groups=dw.shape[-1])
+
+
+def _spatial_composed(x, dw, db, w, b, a):
+    return ad.learnable_sigmoid(ad.conv1d(ad.conv1d(x, dw, db, groups=dw.shape[-1]), w, b), a)
+
+
+# fused op -> (composed ops it stands for, operand shapes); the part before
+# "/" names the op, and its depthwise conv takes each route of conv1d
 _FUSED = {
     "norm_pointwise_gate": (
-        lambda x, g, b, w, c: ad.simple_gate(ad.conv1d(ad.instance_norm(x, g, b), w, c)),
-        ((2, 9, 3), (3,), (3,), (1, 3, 4), (4,))),
+        _gate_composed, ((2, 9, 3), (3,), (3,), (1, 3, 4), (4,), (9, 1, 2), (2,))),
+    "norm_pointwise_gate/taps": (
+        _gate_composed, ((2, 9, 3), (3,), (3,), (1, 3, 4), (4,), (3, 1, 2), (2,))),
     "norm_hardswish": (
         lambda x, g, b: ad.hardswish(ad.instance_norm(x, g, b)),
         ((2, 9, 3), (3,), (3,))),
@@ -370,12 +381,17 @@ _FUSED = {
         lambda x, g, b, w, c: ad.conv1d(ad.hardswish(ad.instance_norm(x, g, b)), w, c),
         ((2, 9, 3), (3,), (3,), (1, 3, 4), (4,))),
     "pointwise_learnable_sigmoid": (
-        lambda x, w, b, a: ad.learnable_sigmoid(ad.conv1d(x, w, b), a),
-        ((2, 9, 3), (1, 3, 4), (4,), (4,))),
+        _spatial_composed, ((2, 9, 3), (3, 1, 3), (3,), (1, 3, 4), (4,), (4,))),
+    "pointwise_learnable_sigmoid/fft": (
+        _spatial_composed, ((2, 9, 3), (9, 1, 3), (3,), (1, 3, 4), (4,), (4,))),
     "gated_pointwise": (
         lambda x, ch, sp, w, b: ad.conv1d(ad.mul(ad.mul(x, ch), sp), w, b),
         ((2, 9, 3), (2, 1, 3), (2, 9, 3), (1, 3, 4), (4,))),
 }
+
+
+def _fused_op(name):
+    return getattr(ad, name.split("/")[0])
 
 
 def _fused_operands(name, dtype):
@@ -391,7 +407,7 @@ def test_fused_op_is_the_composed_ops_bit_for_bit(name, dtype):
     would show first."""
     arrays = _fused_operands(name, dtype)
     results = []
-    for op in (getattr(ad, name), _FUSED[name][0]):
+    for op in (_fused_op(name), _FUSED[name][0]):
         leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
         out = op(*leaves)
         r = np.random.default_rng(33).standard_normal(out.shape).astype(dtype)
@@ -404,9 +420,9 @@ def test_fused_op_is_the_composed_ops_bit_for_bit(name, dtype):
 @pytest.mark.parametrize("name", sorted(_FUSED))
 def test_fused_op_under_no_grad_gives_the_recorded_value(name):
     arrays = _fused_operands(name, np.float64)
-    recorded = getattr(ad, name)(*(Tensor(a, requires_grad=True) for a in arrays))
+    recorded = _fused_op(name)(*(Tensor(a, requires_grad=True) for a in arrays))
     with ad.no_grad():
-        bare = getattr(ad, name)(*(Tensor(a, requires_grad=True) for a in arrays))
+        bare = _fused_op(name)(*(Tensor(a, requires_grad=True) for a in arrays))
     assert bare._backward is None
     assert np.array_equal(bare.data, recorded.data)
 
@@ -438,38 +454,58 @@ def test_gated_product_grads_only_its_taped_operands(taped):
     ("norm_pointwise_gate", 1), ("norm_hardswish_pointwise", 0),
     ("pointwise_learnable_sigmoid", 1), ("gated_pointwise", 0)])
 def test_fused_backward_reruns_only_the_products_its_grads_read(name, products, monkeypatch):
-    """A 1x1 conv's weight grad reads its input, not its output, so a fused
-    backward runs the forward product again only where a grad reads that
-    output: the gate's, and alpha's."""
-    arrays = _fused_operands(name, np.float64)
-    out = getattr(ad, name)(*(Tensor(a, requires_grad=True) for a in arrays))
-    calls = []
-    product = ad._pointwise
-    monkeypatch.setattr(ad, "_pointwise", lambda *args: calls.append(args) or product(*args))
-    out._backward(np.ones(out.shape))
-    assert len(calls) == products
+    """A conv's weight grad reads its input, not its output, so a fused
+    backward runs a forward product again only where a grad reads that
+    output.  Of the 1x1 products: the gate's, and alpha's.  Of the
+    depthwise ones: the spatial view's, which its 1x1 conv's weight grad
+    reads; the large-kernel branch rebuilds the gate that feeds its
+    depthwise conv, or that gate's spectrum, but never runs the conv, on
+    either of conv1d's routes."""
+    depthwise = {"pointwise_learnable_sigmoid": 1}.get(name, 0)
+    pointwise_product, depthwise_conv = ad._pointwise, ad._depthwise_1d
+    for case in [case for case in _FUSED if case.split("/")[0] == name]:
+        arrays = _fused_operands(case, np.float64)
+        out = _fused_op(case)(*(Tensor(a, requires_grad=True) for a in arrays))
+        calls, dw_calls = [], []
+
+        def counted(*args, product=True):
+            if product:
+                dw_calls.append(args)
+            return depthwise_conv(*args, product=product)
+        monkeypatch.setattr(ad, "_pointwise", lambda *args: calls.append(args)
+                            or pointwise_product(*args))
+        monkeypatch.setattr(ad, "_depthwise_1d", counted)
+        out._backward(np.ones(out.shape))
+        monkeypatch.undo()
+        assert (len(calls), len(dw_calls)) == (products, depthwise), case
 
 
 def test_norm_pointwise_gate_rejects_bad_weights():
     rng = np.random.default_rng(34)
     x, g, b = leaf(rng, 2, 5, 3), leaf(rng, 3), leaf(rng, 3)
+    dw = (leaf(rng, 3, 1, 2), leaf(rng, 2))
     with pytest.raises(ShapeError, match="even"):
-        ad.norm_pointwise_gate(x, g, b, leaf(rng, 1, 3, 5), leaf(rng, 5))
+        ad.norm_pointwise_gate(x, g, b, leaf(rng, 1, 3, 5), leaf(rng, 5), *dw)
     with pytest.raises(ShapeError, match="weight"):
-        ad.norm_pointwise_gate(x, g, b, leaf(rng, 3, 3, 4), leaf(rng, 4))
+        ad.norm_pointwise_gate(x, g, b, leaf(rng, 3, 3, 4), leaf(rng, 4), *dw)
     with pytest.raises(ShapeError, match="bias"):
-        ad.norm_pointwise_gate(x, g, b, leaf(rng, 1, 3, 4), leaf(rng, 2))
+        ad.norm_pointwise_gate(x, g, b, leaf(rng, 1, 3, 4), leaf(rng, 2), *dw)
 
 
 # fused op -> the error it names -> operand shapes with that one operand wrong
 _BAD_POINTWISE = {
+    "norm_pointwise_gate": {
+        "depthwise weight": ((2, 5, 3), (3,), (3,), (1, 3, 4), (4,), (3, 2, 2), (2,)),
+        "depthwise bias": ((2, 5, 3), (3,), (3,), (1, 3, 4), (4,), (3, 1, 2), (4,))},
     "norm_hardswish_pointwise": {
         "weight": ((2, 5, 3), (3,), (3,), (3, 3, 4), (4,)),
         "bias": ((2, 5, 3), (3,), (3,), (1, 3, 4), (2,))},
     "pointwise_learnable_sigmoid": {
-        "weight": ((2, 5, 3), (1, 4, 4), (4,), (4,)),
-        "bias": ((2, 5, 3), (1, 3, 4), (2,), (4,)),
-        "alpha": ((2, 5, 3), (1, 3, 4), (4,), (3,))},
+        "weight": ((2, 5, 3), (3, 1, 3), (3,), (1, 4, 4), (4,), (4,)),
+        "bias": ((2, 5, 3), (3, 1, 3), (3,), (1, 3, 4), (2,), (4,)),
+        "alpha": ((2, 5, 3), (3, 1, 3), (3,), (1, 3, 4), (4,), (3,)),
+        "depthwise weight": ((2, 5, 3), (3, 1, 4), (3,), (1, 3, 4), (4,), (4,)),
+        "depthwise bias": ((2, 5, 3), (3, 1, 3), (4,), (1, 3, 4), (4,), (4,))},
     "gated_pointwise": {
         "weight": ((2, 5, 3), (2, 1, 3), (2, 5, 3), (1, 4, 4), (4,)),
         "bias": ((2, 5, 3), (2, 1, 3), (2, 5, 3), (1, 3, 4), (2,))},
@@ -821,15 +857,21 @@ _F32_CASES = {
         mk(2, 7, 3), mk(3), mk(3)),
     "norm_hardswish": lambda mk: (lambda x, g, b: (ad.norm_hardswish(x, g, b), (x, g, b)))(
         mk(2, 7, 3), mk(3), mk(3)),
-    "norm_pointwise_gate": lambda mk: (lambda x, g, b, w, c: (
-        ad.norm_pointwise_gate(x, g, b, w, c), (x, g, b, w, c)))(
-        mk(2, 7, 3), mk(3), mk(3), mk(1, 3, 4), mk(4)),
+    "norm_pointwise_gate": lambda mk: (lambda x, g, b, w, c, dw, db: (
+        ad.norm_pointwise_gate(x, g, b, w, c, dw, db), (x, g, b, w, c, dw, db)))(
+        mk(2, 12, 3), mk(3), mk(3), mk(1, 3, 4), mk(4), mk(9, 1, 2), mk(2)),
+    "norm_pointwise_gate/taps": lambda mk: (lambda x, g, b, w, c, dw, db: (
+        ad.norm_pointwise_gate(x, g, b, w, c, dw, db), (x, g, b, w, c, dw, db)))(
+        mk(2, 7, 3), mk(3), mk(3), mk(1, 3, 4), mk(4), mk(3, 1, 2), mk(2)),
     "norm_hardswish_pointwise": lambda mk: (lambda x, g, b, w, c: (
         ad.norm_hardswish_pointwise(x, g, b, w, c), (x, g, b, w, c)))(
         mk(2, 7, 3), mk(3), mk(3), mk(1, 3, 4), mk(4)),
-    "pointwise_learnable_sigmoid": lambda mk: (lambda x, w, b, a: (
-        ad.pointwise_learnable_sigmoid(x, w, b, a), (x, w, b, a)))(
-        mk(2, 7, 3), mk(1, 3, 4), mk(4), mk(4)),
+    "pointwise_learnable_sigmoid": lambda mk: (lambda x, dw, db, w, b, a: (
+        ad.pointwise_learnable_sigmoid(x, dw, db, w, b, a), (x, dw, db, w, b, a)))(
+        mk(2, 7, 3), mk(3, 1, 3), mk(3), mk(1, 3, 4), mk(4), mk(4)),
+    "pointwise_learnable_sigmoid/fft": lambda mk: (lambda x, dw, db, w, b, a: (
+        ad.pointwise_learnable_sigmoid(x, dw, db, w, b, a), (x, dw, db, w, b, a)))(
+        mk(2, 12, 3), mk(9, 1, 3), mk(3), mk(1, 3, 4), mk(4), mk(4)),
     "gated_pointwise": lambda mk: (lambda x, ch, sp, w, b: (
         ad.gated_pointwise(x, ch, sp, w, b), (x, ch, sp, w, b)))(
         mk(2, 3, 4), mk(2, 1, 4), mk(2, 3, 4), mk(1, 4, 3), mk(3)),

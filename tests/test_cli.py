@@ -528,6 +528,21 @@ def test_train_reports_and_resumes(trained, capsys):
     assert steps == ["1", "2", "3", "4"]
 
 
+def test_train_resume_reports_the_steps_it_ran(trained, tmp_path, capsys):
+    """Resuming the step-2 checkpoint with --steps 1 used to exit 0 with
+    "trained 1 steps" and run nothing; it is a config error naming both
+    numbers.  The report counts the steps this call ran."""
+    args = ["train", "--out", str(tmp_path), "--synthetic", "2", "--quiet",
+            "--resume", str(trained["ckpt"])] + TINY_SET
+    assert main(args + ["--steps", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "max_steps 1" in err and "step 2" in err
+    assert main(args + ["--steps", "2"]) == 0
+    assert "trained 2 steps, 0 of them in this run" in capsys.readouterr().out
+    assert main(args + ["--steps", "3"]) == 0
+    assert "trained 3 steps, 1 of them in this run" in capsys.readouterr().out
+
+
 def test_resume_config_mismatch(trained, tmp_path, capsys):
     rc = main(["train", "--out", str(tmp_path), "--synthetic", "2", "--quiet",
                "--steps", "4", "--resume", str(trained["ckpt"])])

@@ -9,7 +9,8 @@ from densetsnet.autodiff import Tensor, backward
 from densetsnet.dsp import StftConfig
 from densetsnet.errors import ConfigError, DataError, ShapeError
 from densetsnet.model import (CHUNK_POSITIONS, RESIDUAL_GAIN, ClassicTsNet, DenseTsNet,
-                              ModelConfig, _row_chunks, build_model)
+                              ModelConfig, _row_chunks, build_model, build_mvgb, mvgb_forward)
+from densetsnet.params import ParamStore
 
 from helpers import closure_tensors
 
@@ -434,3 +435,47 @@ def test_training_graph_closures_keep_no_tensor(variant):
     loss = mag_mse(spec.mag, consistency_project(enh, spec.phase, SCFG, 4000))
     assert loss.requires_grad
     assert closure_tensors(loss) == []
+
+
+def _closure_arrays(fn, depth=0):
+    """Arrays a backward closure keeps, also through the functions and
+    tuples it closes over."""
+    found = []
+    for cell in fn.__closure__ or ():
+        items = [cell.cell_contents]
+        while items:
+            v = items.pop()
+            if isinstance(v, np.ndarray):
+                found.append(v)
+            elif isinstance(v, (tuple, list)):
+                items.extend(v)
+            elif callable(v) and getattr(v, "__closure__", None) and depth < 3:
+                found.extend(_closure_arrays(v, depth + 1))
+    return found
+
+
+@pytest.mark.parametrize("cfg", [ModelConfig(), ModelConfig(lke_kernel=7, lsg_kernel=9)],
+                         ids=["fft_lke", "fft_lsg"])
+def test_gaze_view_records_hold_four_maps(cfg):
+    """The records of one gaze view keep four (N, L, C) maps: the normalized
+    inputs ``xhat`` of the block's norm and of the large-kernel branch's,
+    the branch's output g, which the spatial view and the fused tail both
+    read, and the spatial view's sigmoid.  Neither depthwise conv keeps its
+    input, its output or a spectrum, on either of conv1d's routes."""
+    rng = np.random.default_rng(6)
+    p = build_mvgb(ParamStore(rng=rng), "view", 4, cfg)
+    x = Tensor(rng.standard_normal((3, 40, 4)), requires_grad=True)
+    out = mvgb_forward(x, p)
+    maps, stack, seen = {}, [out._node], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._backward is None:
+            continue
+        seen.add(id(node))
+        for a in _closure_arrays(node._backward):
+            while a.base is not None:  # one entry per buffer, not per view
+                a = a.base
+            if a.nbytes >= x.data.nbytes:  # a complex spectrum counts too
+                maps[id(a)] = a.nbytes
+        stack.extend(node._parents)
+    assert sorted(maps.values()) == [x.data.nbytes] * 4

@@ -15,7 +15,11 @@ Five fused ops stand for compositions of the gaze block and match them
 bit for bit, values and grads, with the same operations in the same order;
 each keeps less on the tape, after Chen et al. 2016 ("Training Deep Nets
 with Sublinear Memory Cost") and Rota Bulo et al. 2018 ("In-Place Activated
-BatchNorm").  Each backward recomputes only the maps its grads read:
+BatchNorm").  The compositions are written out with this module's ops in
+``tests/helpers.py``, which also holds the test-side ops they need and the
+library does not: ``simple_gate`` (the product of a map's two channel
+halves), ``channel_scale`` and ``sum_all``.  Each backward recomputes only
+the maps its grads read:
 
 - ``norm_pointwise_gate`` is ``conv1d(simple_gate(conv1d(instance_norm(
   ...))))`` for a kernel-1 conv and then a depthwise one.  It keeps only
@@ -40,19 +44,20 @@ BatchNorm").  Each backward recomputes only the maps its grads read:
 Every convolution runs on one of three kernels, which share one protocol:
 each takes arrays, works out its own SAME padding, and returns an output
 and its backward, which builds an input grad only for an input that takes
-grad.  ``_dense_taps`` does one matmul per tap and group over a
-zero-padded copy of the input; ``_depthwise_taps`` adds shifted slices of
-the unpadded input per channel, for ``conv2d_depthwise`` and the depthwise
-``conv1d``; and ``_fft_taps`` correlates by FFT along L, for a depthwise
-``conv1d`` of 9 or more undilated taps, where measurement puts the FFT
-ahead of the taps.  All four public convs record through one node,
-``_conv_node``, which checks the bias against the weight's Cout axis.
-The fused ops run their 1x1 products on ``_dense_taps`` directly, and
-their backwards on ``_pointwise_backward``, the backward of its one-tap
-path, which starts from a given input and does not run the forward
-product again.  Their depthwise convs go through ``_depthwise_1d``, the
-router of the depthwise ``conv1d``, so both take the same kernel; a
-backward that needs no depthwise output asks it for the backward alone.
+grad.  ``_dense_taps`` does one matmul per tap over a zero-padded copy of
+the input, for the pointwise and dense ``conv1d``, ``conv2d_pointwise`` and
+the strided or dilated ``conv2d``; ``_depthwise_taps`` adds shifted slices
+of the unpadded input per channel along L, for a depthwise ``conv1d``
+that the FFT does not take; and ``_fft_taps`` correlates by FFT along L,
+for one of 9 or more taps over L >= 2, where measurement puts the FFT ahead
+of the taps.  All three public convs record through one node,
+``_conv_node``, which checks the bias against the weight's Cout axis.  The
+fused ops run their 1x1 products on ``_dense_taps`` directly, and their
+backwards on ``_pointwise_backward``, the backward of its one-tap path,
+which starts from a given input and does not run the forward product
+again.  Their depthwise convs go through ``_depthwise_1d``, the router of
+the depthwise ``conv1d``, so both take the same kernel; a backward that
+needs no depthwise output asks it for the backward alone.
 
 ``backward`` walks the records once in reverse topological order and
 consumes them as it goes: each record drops its parents and its closure as
@@ -89,10 +94,9 @@ from .errors import GraphError, ShapeError
 __all__ = [
     "Tensor", "backward", "grad_check", "no_grad",
     "add", "sub", "mul", "scale", "mul_const", "square", "sigmoid",
-    "hardswish", "simple_gate", "learnable_sigmoid", "channel_scale",
-    "reshape", "transpose", "concat_last", "split_last", "slice_last",
-    "mean", "mean_all", "sum_all", "complex_magnitude",
-    "conv1d", "conv2d_pointwise", "conv2d", "conv2d_depthwise", "instance_norm",
+    "hardswish", "learnable_sigmoid", "reshape", "transpose", "concat_last",
+    "mean", "mean_all", "complex_magnitude",
+    "conv1d", "conv2d_pointwise", "conv2d", "instance_norm",
     "norm_hardswish", "norm_pointwise_gate", "norm_hardswish_pointwise",
     "pointwise_learnable_sigmoid", "gated_pointwise",
 ]
@@ -410,36 +414,6 @@ def hardswish(x):
     return _make(_hardswish(d), (x,), bwd)
 
 
-def simple_gate(x):
-    """Split the last dim in half and return the elementwise product."""
-    c2 = x.shape[-1]
-    if c2 % 2:
-        raise ShapeError(f"simple_gate needs an even channel count, got last dim {c2}")
-    c = c2 // 2
-    h1 = x.data[..., :c]
-    h2 = x.data[..., c:]
-
-    def bwd(g):
-        gx = np.empty(g.shape[:-1] + (c2,), np.result_type(g, h1))
-        np.multiply(g, h2, out=gx[..., :c])
-        np.multiply(g, h1, out=gx[..., c:])
-        return (gx,)
-    return _make(h1 * h2, (x,), bwd)
-
-
-def channel_scale(x, alpha):
-    """Per-channel learnable scale along the last axis: y[..., c] = x[..., c] * alpha[c]."""
-    if alpha.ndim != 1 or alpha.shape[0] != x.shape[-1]:
-        raise ShapeError(
-            f"channel_scale alpha has shape {alpha.shape}, expected ({x.shape[-1]},)")
-    d, a = x.data, alpha.data
-
-    def bwd(g):
-        ga = (g * d).reshape(-1, d.shape[-1]).sum(axis=0)
-        return g * a, ga
-    return _make(d * a, (x, alpha), bwd)
-
-
 def _scaled_sigmoid(d, a):
     """sigmoid(d * a) in one buffer, in the tanh form of ``sigmoid``."""
     s = d * a
@@ -461,8 +435,9 @@ def _scaled_sigmoid_grad(g, s, c):
 def learnable_sigmoid(x, alpha, beta=2.0):
     """beta * sigmoid(alpha_c * x) with a learnable per-channel alpha.
 
-    One node with the arithmetic of ``scale(sigmoid(channel_scale(x, alpha)),
-    beta)``, in the same order, so values and grads match it bit for bit;
+    One node with the arithmetic of ``scale(sigmoid(x * alpha), beta)``
+    with a per-channel product (the tests' ``channel_scale``), in the same
+    order, so values and grads match it bit for bit;
     the closure keeps only the sigmoid.  At beta 1 the result is the
     sigmoid array itself (``s * 1.0`` is ``s``), so a consumer that saves
     the result shares the closure's copy.
@@ -509,40 +484,15 @@ def concat_last(parts):
     return _make(np.concatenate([p.data for p in parts], axis=-1), parts, bwd)
 
 
-def slice_last(x, start, stop):
-    """Contiguous slice along the last axis; the adjoint zero-embeds."""
-    shape, dtype = x.shape, x.dtype
-
-    def bwd(g):
-        full = np.zeros(shape, dtype)
-        full[..., start:stop] = g
-        return (full,)
-    return _make(np.ascontiguousarray(x.data[..., start:stop]), (x,), bwd)
-
-
-def split_last(x, sizes):
-    """Split the last axis into chunks of the given sizes."""
-    if sum(sizes) != x.shape[-1]:
-        raise ShapeError(f"split sizes {sizes} do not sum to last dim {x.shape[-1]}")
-    out = []
-    start = 0
-    for s in sizes:
-        out.append(slice_last(x, start, start + s))
-        start += s
-    return tuple(out)
-
-
-def mean(x, axis, keepdims=False):
-    """Mean over a single axis."""
+def mean(x, axis):
+    """Mean over a single axis, which stays as a length-1 axis."""
     axis = int(axis)
     shape = x.shape
     n = shape[axis]
 
     def bwd(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, shape) / n,)
-    return _make(x.data.mean(axis=axis, keepdims=keepdims), (x,), bwd)
+    return _make(x.data.mean(axis=axis, keepdims=True), (x,), bwd)
 
 
 def mean_all(x):
@@ -551,14 +501,6 @@ def mean_all(x):
     def bwd(g):
         return (np.full(shape, float(g) / n, dtype),)
     return _make(np.asarray(x.data.mean()), (x,), bwd)
-
-
-def sum_all(x):
-    shape, dtype = x.shape, x.dtype
-
-    def bwd(g):
-        return (np.full(shape, float(g), dtype),)
-    return _make(np.asarray(x.data.sum()), (x,), bwd)
 
 
 def complex_magnitude(re, im):
@@ -579,13 +521,12 @@ def complex_magnitude(re, im):
 # convolutions and normalization
 # ---------------------------------------------------------------------------
 
-def _dense_taps(x, w, b, stride, dilation, groups, want_gx):
-    """Grouped SAME cross-correlation of x (N, *S, Cin) with w (*K, Cin //
-    groups, Cout) plus b (Cout,): the output (N, *ceil(S / stride), Cout)
-    and ``bwd(g) -> (gx, gw, gb)``, with ``gx`` None unless ``want_gx``."""
+def _dense_taps(x, w, b, stride, dilation, want_gx):
+    """SAME cross-correlation of x (N, *S, Cin) with w (*K, Cin, Cout) plus
+    b (Cout,): the output (N, *ceil(S / stride), Cout) and ``bwd(g) -> (gx,
+    gw, gb)``, with ``gx`` None unless ``want_gx``."""
     n, *size, cin = x.shape
-    *kernel, cin_g, cout = w.shape
-    cout_g = cout // groups
+    *kernel, _, cout = w.shape
     osize, pads = [], []  # an odd total padding puts one more on the high side
     for s, k, st, d in zip(size, kernel, stride, dilation):
         osize.append(-(-s // st))
@@ -596,15 +537,12 @@ def _dense_taps(x, w, b, stride, dilation, groups, want_gx):
     for t in np.ndindex(*kernel):
         window = (slice(i * d, i * d + st * o, st)
                   for i, d, st, o in zip(t, dilation, stride, osize))
-        taps.append((t + (slice(None),), (slice(None), *window)))
-    chans = [(slice(gi * cin_g, (gi + 1) * cin_g), slice(gi * cout_g, (gi + 1) * cout_g))
-             for gi in range(groups)]
-    # each accumulator starts from its first tap's product
-    parts = [reduce(iadd, (xp[tap + (xs,)].reshape(-1, cin_g) @ w[t + (os,)] for t, tap in taps))
-             .reshape(n, *osize, cout_g) for xs, os in chans]
-    out = parts[0] if groups == 1 else np.concatenate(parts, axis=-1)
+        taps.append((t, (slice(None), *window)))
+    # the accumulator starts from the first tap's product
+    out = reduce(iadd, (xp[tap].reshape(-1, cin) @ w[t] for t, tap in taps))
+    out = out.reshape(n, *osize, cout)
     out += b
-    if groups == 1 and len(taps) == 1 and xp is x and osize == size:  # 1x1, unpadded
+    if len(taps) == 1 and xp is x and osize == size:  # 1x1, unpadded
 
         def bwd(g):
             return _pointwise_backward(x, w, g, want_gx)
@@ -614,25 +552,24 @@ def _dense_taps(x, w, b, stride, dilation, groups, want_gx):
     def bwd(g):
         gw = np.empty_like(w)
         gxp = np.zeros_like(xp) if want_gx else None
-        for xs, os in chans:
-            gseg = g[..., os].reshape(-1, cout_g)
-            for t, tap in taps:
-                gw[t + (os,)] = xp[tap + (xs,)].reshape(-1, cin_g).T @ gseg
-                if want_gx:
-                    gxp[tap + (xs,)] += (gseg @ w[t + (os,)].T).reshape(n, *osize, cin_g)
+        gseg = g.reshape(-1, cout)
+        for t, tap in taps:
+            gw[t] = xp[tap].reshape(-1, cin).T @ gseg
+            if want_gx:
+                gxp[tap] += (gseg @ w[t].T).reshape(n, *osize, cin)
         gx = np.ascontiguousarray(gxp[crop]) if want_gx else None
-        return gx, gw, g.reshape(-1, cout).sum(axis=0)
+        return gx, gw, gseg.sum(axis=0)
     return out, bwd
 
 
 def _pointwise(x, w, b):
     """The output of a 1x1 conv of x (N, L, Cin) with w (1, Cin, Cout) plus
     b on ``_dense_taps``, without the backward, which would keep x alive."""
-    return _dense_taps(x, w, b, (1,), (1,), 1, False)[0]
+    return _dense_taps(x, w, b, (1,), (1,), False)[0]
 
 
 def _pointwise_backward(x, w, g, want_gx):
-    """``_dense_taps``'s backward for a 1x1 unpadded conv of one group, from
+    """``_dense_taps``'s backward for a 1x1 unpadded conv, from
     its input x (N, *S, Cin) and w (1, ..., 1, Cin, Cout): (gx, gw, gb), with
     ``gx`` None unless ``want_gx``.  It reads x for the weight grad only,
     so a fused op that recomputes x does not run the product again."""
@@ -643,37 +580,33 @@ def _pointwise_backward(x, w, g, want_gx):
     return gx, gw, gseg.sum(axis=0)
 
 
-def _depthwise_taps(x, w, b, dilation, want_gx, product=True):
-    """Per-channel SAME cross-correlation, stride 1, of x (N, *S, C) with
-    w (*K, C) plus b (C,), as ``_dense_taps``; each position sums its taps
-    in the order a padded copy would.  Without ``product`` the output is
-    None and only the backward is built."""
-    size, kernel = x.shape[1:-1], w.shape[:-1]
-    taps = []
-    for t in np.ndindex(*kernel):
-        dst, src = [slice(None)], [slice(None)]
-        for i, k, d, s in zip(t, kernel, dilation, size):
-            shift = i * d - (k - 1) * d // 2  # the low SAME padding
-            start, stop = max(0, -shift), min(s, s - shift)
-            dst.append(slice(start, stop))
-            src.append(slice(start + shift, stop + shift))
-        if all(sl.start < sl.stop for sl in dst[1:]):
-            taps.append((t, tuple(dst), tuple(src)))
+def _depthwise_taps(x, w, b, want_gx, product=True):
+    """Per-channel SAME cross-correlation along L of x (N, L, C) with w
+    (K, C) plus b (C,), as ``_dense_taps``; each position sums its taps in
+    the order a padded copy would.  Without ``product`` the output is None
+    and only the backward is built."""
+    _, length, c = x.shape
+    k = w.shape[0]
+    taps = []  # (tap, the output rows it adds to, the input rows it reads)
+    for i in range(k):
+        shift = i - (k - 1) // 2  # the low SAME padding
+        start, stop = max(0, -shift), min(length, length - shift)
+        if start < stop:
+            taps.append((i, slice(start, stop), slice(start + shift, stop + shift)))
     out = None
     if product:
         out = np.zeros_like(x)
-        for t, dst, src in taps:
-            out[dst] += x[src] * w[t]
+        for i, dst, src in taps:
+            out[:, dst] += x[:, src] * w[i]
         out += b
-    c = x.shape[-1]
 
     def bwd(g):
         gx = np.zeros_like(x) if want_gx else None
         gw = np.zeros_like(w)
-        for t, dst, src in taps:
+        for i, dst, src in taps:
             if want_gx:
-                gx[src] += g[dst] * w[t]
-            gw[t] = (x[src] * g[dst]).reshape(-1, c).sum(axis=0)
+                gx[:, src] += g[:, dst] * w[i]
+            gw[i] = (x[:, src] * g[:, dst]).reshape(-1, c).sum(axis=0)
         return gx, gw, g.reshape(-1, c).sum(axis=0)
     return out, bwd
 
@@ -694,33 +627,30 @@ def _conv_node(op, x, w, b, kernel, wk, *args):
     return _make(out, (x, w, b), bwd)
 
 
-def conv1d(x, w, b, groups=1, dilation=1):
-    """Grouped 1-D cross-correlation over (N, L, Cin) with same-length padding.
+def conv1d(x, w, b, groups=1):
+    """1-D cross-correlation over (N, L, Cin) with same-length padding.
 
-    Weights have shape (K, Cin // groups, Cout); groups == Cin == Cout is the
-    depthwise case, kernel 1 with groups 1 is pointwise.  Output length always
-    equals the input length.
+    Dense with ``groups`` 1 and weights (K, Cin, Cout), pointwise at kernel
+    1; depthwise with ``groups`` == Cin == Cout and weights (K, 1, Cin).  No
+    other grouping is taken.  Output length always equals the input length.
     """
     if x.ndim != 3:
         raise ShapeError(f"conv1d input must be rank 3 (N, L, C), got rank {x.ndim}")
-    _, length, cin = x.shape
-    k, cin_g, cout = w.shape
-    if cin % groups:
-        raise ShapeError(f"conv1d Cin={cin} not divisible by groups={groups}")
-    if cout % groups:
-        raise ShapeError(f"conv1d Cout={cout} not divisible by groups={groups}")
-    if cin_g != cin // groups:
-        raise ShapeError(
-            f"conv1d weight dim 1 is {cin_g}, expected Cin/groups = {cin // groups}")
-    if groups == cin and cout == cin:  # depthwise
-        return _conv_node("conv1d", x, w, b, _depthwise_1d, w.data[:, 0, :], dilation)
-    return _conv_node("conv1d", x, w, b, _dense_taps, w.data, (1,), (dilation,), groups)
+    cin = x.shape[-1]
+    _, cin_g, cout = w.shape
+    if groups == cin and cin_g == 1 and cout == cin:  # depthwise
+        return _conv_node("conv1d", x, w, b, _depthwise_1d, w.data[:, 0, :])
+    if groups != 1 or cin_g != cin:
+        raise ShapeError(f"conv1d is dense (groups 1, weight (K, {cin}, Cout)) or depthwise "
+                         f"(groups {cin}, weight (K, 1, {cin})); got groups={groups} and "
+                         f"weight {w.shape}")
+    return _conv_node("conv1d", x, w, b, _dense_taps, w.data, (1,), (1,))
 
 
-def _depthwise_1d(x, w, b, dilation, want_gx, product=True):
+def _depthwise_1d(x, w, b, want_gx, product=True):
     """The depthwise case of ``conv1d`` over x (N, L, C) with w (K, C) plus
     b (C,), routed by the one rule that ``conv1d`` and the fused ops share:
-    ``_fft_taps`` for 9 or more undilated taps over L >= 2, where
+    ``_fft_taps`` for 9 or more taps over L >= 2, where
     measurement puts the FFT ahead of the taps, else ``_depthwise_taps``.
 
     ``x`` may also be a pair (h1, h2) whose product is the input: a gate's
@@ -728,11 +658,11 @@ def _depthwise_1d(x, w, b, dilation, want_gx, product=True):
     Without ``product`` the output is None and only the backward is built.
     """
     length = (x[0] if isinstance(x, tuple) else x).shape[1]
-    if dilation == 1 and w.shape[0] >= 9 and length >= 2:
+    if w.shape[0] >= 9 and length >= 2:
         return _fft_taps(x, w, b, want_gx, product)
     if isinstance(x, tuple):
         x = x[0] * x[1]
-    return _depthwise_taps(x, w, b, (dilation,), want_gx, product)
+    return _depthwise_taps(x, w, b, want_gx, product)
 
 
 def _next_fast_len(n):
@@ -800,7 +730,7 @@ def conv2d_pointwise(x, w, b):
         raise ShapeError(
             f"conv2d_pointwise channel mismatch: input Cin={x.shape[-1]}, weight Cin={cin}")
     return _conv_node("conv2d_pointwise", x, w, b, _dense_taps,
-                      w.data.reshape(1, 1, cin, cout), (1, 1), (1, 1), 1)
+                      w.data.reshape(1, 1, cin, cout), (1, 1), (1, 1))
 
 
 def conv2d(x, w, b, stride=(1, 1), dilation=(1, 1)):
@@ -815,18 +745,7 @@ def conv2d(x, w, b, stride=(1, 1), dilation=(1, 1)):
     _, _, wcin, _ = w.shape
     if wcin != cin:
         raise ShapeError(f"conv2d channel mismatch: input Cin={cin}, weight Cin={wcin}")
-    return _conv_node("conv2d", x, w, b, _dense_taps, w.data, tuple(stride), tuple(dilation), 1)
-
-
-def conv2d_depthwise(x, w, b):
-    """Per-channel 3x3-style conv over (B, H, W, C), stride 1, SAME padding."""
-    if x.ndim != 4:
-        raise ShapeError(f"conv2d_depthwise input must be rank 4, got rank {x.ndim}")
-    c = x.shape[-1]
-    _, _, wc = w.shape
-    if wc != c:
-        raise ShapeError(f"conv2d_depthwise channel mismatch: input C={c}, weight C={wc}")
-    return _conv_node("conv2d_depthwise", x, w, b, _depthwise_taps, w.data, (1, 1))
+    return _conv_node("conv2d", x, w, b, _dense_taps, w.data, tuple(stride), tuple(dilation))
 
 
 def _norm_core(x, gamma, beta, eps, op="instance_norm"):
@@ -954,13 +873,13 @@ def norm_pointwise_gate(x, gamma, beta, w, b, dw_w, dw_b, eps=1e-5):
         xhat = None  # nothing reads it again: free it before the product
     z = _pointwise(y, wd, cb)
     del y
-    out = _depthwise_1d((z[..., :c], z[..., c:]), dwd, dwb, 1, False)[0]
+    out = _depthwise_1d((z[..., :c], z[..., c:]), dwd, dwb, False)[0]
     del z
 
     def bwd(g):
         y = _norm_affine(xhat, gd, bd, dtype)
         z = _pointwise(y, wd, cb)
-        gh, gdw, gdb = _depthwise_1d((z[..., :c], z[..., c:]), dwd, dwb, 1, True,
+        gh, gdw, gdb = _depthwise_1d((z[..., :c], z[..., c:]), dwd, dwb, True,
                                      product=False)[1](g)
         gz = np.empty(gh.shape[:-1] + (c2,), np.result_type(gh, z))
         np.multiply(gh, z[..., c:], out=gz[..., :c])
@@ -1019,11 +938,11 @@ def pointwise_learnable_sigmoid(x, dw_w, dw_b, w, b, alpha, beta=2.0):
     xd, wd, cb, a = x.data, w.data, b.data, alpha.data
     dwd, dwb, dw_shape = dw_w.data[:, 0, :], dw_b.data, dw_w.shape
     want_x, want_a = x.requires_grad, alpha.requires_grad
-    s = _scaled_sigmoid(_pointwise(_depthwise_1d(xd, dwd, dwb, 1, False)[0], wd, cb), a)
+    s = _scaled_sigmoid(_pointwise(_depthwise_1d(xd, dwd, dwb, False)[0], wd, cb), a)
 
     def bwd(g):
         gs = _scaled_sigmoid_grad(g, s, c)
-        d, d_bwd = _depthwise_1d(xd, dwd, dwb, 1, want_x)
+        d, d_bwd = _depthwise_1d(xd, dwd, dwb, want_x)
         ga = None
         if want_a:  # products commute bit for bit, so both run in place
             ga = _pointwise(d, wd, cb)

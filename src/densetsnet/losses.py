@@ -83,7 +83,7 @@ class Discriminator:
         for w, bias, g, be in self.stages:
             h = ad.conv2d(h, w, bias, stride=(2, 2))
             h = ad.hardswish(h) if g is None else norm_hardswish_2d(h, g, be)
-        pooled = ad.mean(ad.mean(h, axis=1, keepdims=True), axis=2, keepdims=True)
+        pooled = ad.mean(ad.mean(h, axis=1), axis=2)
         score = ad.conv2d_pointwise(pooled, self.head_w, self.head_b)
         return ad.sigmoid(ad.reshape(score, (b,)))
 

@@ -36,7 +36,6 @@ class ModelConfig:
     mask_beta: float = 2.0
     variant: str = "dense_ts"
     classic_channel: int = 6
-    adjust_depthwise: bool = False
     drop: tuple = ()
 
     def __post_init__(self):
@@ -127,7 +126,7 @@ def mvgb_forward(x: Tensor, p: MvgbParams) -> Tensor:
         g = ad.instance_norm(x, p.norm_g, p.norm_b)
     ch = sp = Tensor(np.ones(1, g.dtype))
     if p.ca:
-        ch = ad.conv1d(ad.mean(g, axis=1, keepdims=True), p.ca["w"], p.ca["b"])
+        ch = ad.conv1d(ad.mean(g, axis=1), p.ca["w"], p.ca["b"])
     if p.lsg:
         sp = ad.pointwise_learnable_sigmoid(g, p.lsg["dw_w"], p.lsg["dw_b"], p.lsg["pw_w"],
                                             p.lsg["pw_b"], p.lsg["alpha"], beta=1.0)
@@ -264,14 +263,11 @@ class _MaskNet:
 
 
 class _TsLayer:
-    __slots__ = ("index", "cin", "p_time", "p_freq", "adjust_w", "adjust_b",
-                 "adjust_dw_w", "adjust_dw_b")
+    __slots__ = ("index", "cin", "p_time", "p_freq", "adjust_w", "adjust_b")
 
     def __init__(self, index, cin):
         self.index = index
         self.cin = cin
-        self.adjust_dw_w = None
-        self.adjust_dw_b = None
 
 
 class DenseTsNet(_MaskNet):
@@ -291,16 +287,7 @@ class DenseTsNet(_MaskNet):
             lay.p_freq = build_mvgb(self.store, f"{base}/freq", cin, self.cfg)
             lay.adjust_w = self.store.uniform_fan_in(f"{base}/adjust/w", (cin, c), cin)
             lay.adjust_b = self.store.zeros(f"{base}/adjust/b", (c,))
-            if self.cfg.adjust_depthwise:
-                lay.adjust_dw_w = self.store.uniform_fan_in(f"{base}/adjust_dw/w", (3, 3, c), 9)
-                lay.adjust_dw_b = self.store.zeros(f"{base}/adjust_dw/b", (c,))
             self.layers.append(lay)
-
-    def _adjust(self, lay: _TsLayer, h: Tensor) -> Tensor:
-        a = ad.conv2d_pointwise(h, lay.adjust_w, lay.adjust_b)
-        if lay.adjust_dw_w is not None:
-            a = ad.conv2d_depthwise(a, lay.adjust_dw_w, lay.adjust_dw_b)
-        return a
 
     def _body(self, x: Tensor):
         """Dense recursion on lifted features, plus the residual on the
@@ -313,7 +300,8 @@ class DenseTsNet(_MaskNet):
             if skip.shape[-1] != lay.cin:
                 raise ShapeError(
                     f"layer {lay.index}: expected {lay.cin} input channels, got {skip.shape[-1]}")
-            a = self._adjust(lay, ts_mvgb_forward(skip, lay.p_time, lay.p_freq))
+            a = ad.conv2d_pointwise(ts_mvgb_forward(skip, lay.p_time, lay.p_freq),
+                                    lay.adjust_w, lay.adjust_b)
         out = ad.add(ad.scale(a, RESIDUAL_GAIN), x)
         return out, {"lifted": x, "trunk": out, "a_last": a}
 

@@ -338,6 +338,9 @@ def _open_step_log(path: Path, header: list, start_step: int):
 def train(model_cfg: ModelConfig, stft_cfg: StftConfig, train_cfg: TrainConfig,
           dataset: PairedDataset, out_dir, oracle=None, resume=None,
           log=None) -> TrainResult:
+    if train_cfg.valid_fraction != dataset.spec.valid_fraction:
+        raise ConfigError(f"valid_fraction {train_cfg.valid_fraction} would be echoed in every "
+                          f"checkpoint, but the dataset splits off {dataset.spec.valid_fraction}")
     out_dir = Path(out_dir)
     _make_dir(out_dir)
     seg = train_cfg.segment_samples

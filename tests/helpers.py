@@ -11,18 +11,18 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 import densetsnet.autodiff as ad
-from densetsnet.autodiff import Tensor
+from densetsnet.autodiff import Tensor, _make
+from densetsnet.errors import ShapeError
 
 
-def conv1d_ref(x, w, b, groups=1, dilation=1):
+def conv1d_ref(x, w, b, groups=1):
     """Nested-loop grouped 1-D cross-correlation, same-length padding.
 
     x (N, L, Cin), w (K, Cin/groups, Cout), b (Cout,).
     """
     n, length, cin = x.shape
     k, cin_g, cout = w.shape
-    span = (k - 1) * dilation
-    pl = span // 2
+    pl = (k - 1) // 2
     out = np.zeros((n, length, cout))
     cout_g = cout // groups
     for bi in range(n):
@@ -31,7 +31,7 @@ def conv1d_ref(x, w, b, groups=1, dilation=1):
                 g = co // cout_g
                 acc = b[co]
                 for tap in range(k):
-                    src = t - pl + tap * dilation
+                    src = t - pl + tap
                     if src < 0 or src >= length:
                         continue
                     for ci in range(cin_g):
@@ -110,7 +110,7 @@ def conv2d_grads_ref(x, w, g, stride=(1, 1), dilation=(1, 1), groups=1):
     return gx, gw, gb
 
 
-def conv1d_depthwise_grads_ref(x, w, b, g, dilation=1):
+def conv1d_depthwise_grads_ref(x, w, b, g):
     """Depthwise same-padded conv1d and its grads for the cotangent ``g``.
 
     Keeps the padded input from the forward for the backward, the way the
@@ -120,20 +120,18 @@ def conv1d_depthwise_grads_ref(x, w, b, g, dilation=1):
     Returns (out, gx, gw, gb).
     """
     k, length = w.shape[0], x.shape[1]
-    span = (k - 1) * dilation
-    pl = span // 2
-    xp = np.pad(x, ((0, 0), (pl, span - pl), (0, 0)))
+    pl = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (pl, k - 1 - pl), (0, 0)))
     wk = w[:, 0, :]
     out = np.zeros_like(x)
     for t in range(k):
-        out += xp[:, t * dilation:t * dilation + length, :] * wk[t]
+        out += xp[:, t:t + length, :] * wk[t]
     out += b
     gxp = np.zeros_like(xp)
     gw = np.empty_like(w)
     for t in range(k):
-        off = t * dilation
-        gxp[:, off:off + length, :] += g * wk[t]
-        gw[t, 0, :] = (xp[:, off:off + length, :] * g).sum(axis=(0, 1))
+        gxp[:, t:t + length, :] += g * wk[t]
+        gw[t, 0, :] = (xp[:, t:t + length, :] * g).sum(axis=(0, 1))
     return out, gxp[:, pl:pl + length, :], gw, g.sum(axis=(0, 1))
 
 
@@ -156,20 +154,63 @@ def instance_norm_grads_ref(x, gamma, beta, g, eps=1e-5):
     return out, gx, (g * xhat).sum(axis=(0, 1)), g.sum(axis=(0, 1))
 
 
+# ---------------------------------------------------------------------------
+# test-side ops over the library's tape, for the composed references below
+# and the gradient checks; the library itself has no caller for them
+# ---------------------------------------------------------------------------
+
+def simple_gate(x):
+    """Split the last dim in half and return the elementwise product."""
+    c2 = x.shape[-1]
+    if c2 % 2:
+        raise ShapeError(f"simple_gate needs an even channel count, got last dim {c2}")
+    c = c2 // 2
+    h1 = x.data[..., :c]
+    h2 = x.data[..., c:]
+
+    def bwd(g):
+        gx = np.empty(g.shape[:-1] + (c2,), np.result_type(g, h1))
+        np.multiply(g, h2, out=gx[..., :c])
+        np.multiply(g, h1, out=gx[..., c:])
+        return (gx,)
+    return _make(h1 * h2, (x,), bwd)
+
+
+def channel_scale(x, alpha):
+    """Per-channel learnable scale along the last axis: y[..., c] = x[..., c] * alpha[c]."""
+    if alpha.ndim != 1 or alpha.shape[0] != x.shape[-1]:
+        raise ShapeError(
+            f"channel_scale alpha has shape {alpha.shape}, expected ({x.shape[-1]},)")
+    d, a = x.data, alpha.data
+
+    def bwd(g):
+        ga = (g * d).reshape(-1, d.shape[-1]).sum(axis=0)
+        return g * a, ga
+    return _make(d * a, (x, alpha), bwd)
+
+
+def sum_all(x):
+    shape, dtype = x.shape, x.dtype
+
+    def bwd(g):
+        return (np.full(shape, float(g), dtype),)
+    return _make(np.asarray(x.data.sum()), (x,), bwd)
+
+
 def mvgb_forward_composed(x, p):
     """The gaze block written with the unfused ops: the reference that the
     library's fused ``model.mvgb_forward`` must match bit for bit."""
     g = ad.instance_norm(x, p.norm_g, p.norm_b)
     if p.lke:
         g = ad.conv1d(g, p.lke["pw_in_w"], p.lke["pw_in_b"])
-        g = ad.simple_gate(g)
+        g = simple_gate(g)
         g = ad.conv1d(g, p.lke["dw_w"], p.lke["dw_b"], groups=p.c)
         g = ad.instance_norm(g, p.lke["norm_g"], p.lke["norm_b"])
         g = ad.hardswish(g)
         g = ad.conv1d(g, p.lke["pw_out_w"], p.lke["pw_out_b"])
     y = g
     if p.ca:
-        pooled = ad.mean(g, axis=1, keepdims=True)
+        pooled = ad.mean(g, axis=1)
         ch = ad.conv1d(pooled, p.ca["w"], p.ca["b"])
         y = ad.mul(y, ch)
     if p.lsg:

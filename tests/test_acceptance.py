@@ -42,7 +42,7 @@ from densetsnet.losses import mag_mse
 from densetsnet.model import RESIDUAL_GAIN
 from densetsnet.training import _estimate_waveforms
 
-from helpers import snr_db
+from helpers import channel_scale, simple_gate, snr_db, sum_all
 
 
 # Frozen expectations: the parameter count comes from an independent
@@ -92,14 +92,14 @@ def test_01_gradient_correctness():
         lambda: ad.mean_all(ad.square(ad.mul(ad.add(x, y), ad.sub(x, y)))), [x, y],
         step=1e-5)
     s = leaf(2, 5, 4)
-    worst["sigmoid"] = grad_check(lambda: ad.sum_all(ad.sigmoid(s)), [s], step=1e-5)
+    worst["sigmoid"] = grad_check(lambda: sum_all(ad.sigmoid(s)), [s], step=1e-5)
     h = leaf(2, 5, 4)  # |values| < 2.5 keeps clear of the hinge corners
     worst["hardswish"] = grad_check(lambda: ad.mean_all(ad.hardswish(h)), [h], step=1e-5)
     g = leaf(2, 5, 6)
-    worst["simple_gate"] = grad_check(lambda: ad.mean_all(ad.simple_gate(g)), [g], step=1e-5)
+    worst["simple_gate"] = grad_check(lambda: ad.mean_all(simple_gate(g)), [g], step=1e-5)
     cs_x, cs_a = leaf(2, 5, 3), leaf(3)
     worst["channel_scale"] = grad_check(
-        lambda: ad.mean_all(ad.channel_scale(cs_x, cs_a)), [cs_x, cs_a], step=1e-5)
+        lambda: ad.mean_all(channel_scale(cs_x, cs_a)), [cs_x, cs_a], step=1e-5)
     ls_x, ls_a = leaf(2, 6, 5), leaf(5)
     worst["learnable_sigmoid"] = grad_check(
         lambda: ad.mean_all(ad.learnable_sigmoid(ls_x, ls_a, beta=2.0)), [ls_x, ls_a],
@@ -115,24 +115,26 @@ def test_01_gradient_correctness():
         lambda: ad.mean_all(ad.square(ad.transpose(ad.reshape(r, (2, 12, 1)), (1, 0, 2)))),
         [r], step=1e-5)
     c1, c2 = leaf(2, 4, 3), leaf(2, 4, 2)
-    worst["concat+slice"] = grad_check(
-        lambda: ad.mean_all(ad.square(ad.slice_last(ad.concat_last([c1, c2]), 1, 4))),
+    carr = rng.standard_normal((2, 4, 5))
+    worst["concat_last"] = grad_check(
+        lambda: ad.mean_all(ad.square(ad.mul_const(ad.concat_last([c1, c2]), carr))),
         [c1, c2], step=1e-5)
     sp = leaf(2, 3, 6)
-    worst["split+mean"] = grad_check(
-        lambda: ad.mean_all(ad.mul(*[ad.mean(p, axis=1, keepdims=True)
-                                     for p in ad.split_last(sp, (3, 3))])),
-        [sp], step=1e-5)
+    worst["mean"] = grad_check(
+        lambda: ad.mean_all(ad.mul(ad.mean(sp, axis=1), ad.mean(sp, axis=2))), [sp], step=1e-5)
     re_, im_ = leaf(2, 4, 3), leaf(2, 4, 3)
     re_.data += np.sign(re_.data)  # keep |z| away from the origin cusp
     worst["complex_magnitude"] = grad_check(
         lambda: ad.mean_all(ad.complex_magnitude(re_, im_)), [re_, im_], step=1e-5)
 
     # convolutions and normalization
-    cx, cw, cb = leaf(2, 9, 4), leaf(5, 2, 6, scale=0.4), leaf(6)
-    worst["conv1d_grouped"] = grad_check(
-        lambda: ad.mean_all(ad.square(ad.conv1d(cx, cw, cb, groups=2, dilation=2))),
-        [cx, cw, cb], step=1e-5)
+    cx, cw, cb = leaf(2, 9, 4), leaf(5, 4, 6, scale=0.4), leaf(6)
+    worst["conv1d_dense"] = grad_check(
+        lambda: ad.mean_all(ad.square(ad.conv1d(cx, cw, cb))), [cx, cw, cb], step=1e-5)
+    tx, tw, tb = leaf(2, 9, 3), leaf(3, 1, 3, scale=0.4), leaf(3)
+    worst["conv1d_depthwise_taps"] = grad_check(
+        lambda: ad.mean_all(ad.square(ad.conv1d(tx, tw, tb, groups=3))), [tx, tw, tb],
+        step=1e-5)
     dx, dw, db = leaf(1, 40, 3), leaf(31, 1, 3, scale=0.2), leaf(3)
     worst["conv1d_depthwise_fft"] = grad_check(
         lambda: ad.mean_all(ad.square(ad.conv1d(dx, dw, db, groups=3))),
@@ -145,9 +147,9 @@ def test_01_gradient_correctness():
     worst["conv2d_strided"] = grad_check(
         lambda: ad.mean_all(ad.square(ad.conv2d(qx, qw, qb, stride=(2, 2)))),
         [qx, qw, qb], step=1e-5)
-    ex, ew, eb = leaf(2, 5, 6, 3), leaf(3, 3, 3, scale=0.4), leaf(3)
-    worst["conv2d_depthwise"] = grad_check(
-        lambda: ad.mean_all(ad.square(ad.conv2d_depthwise(ex, ew, eb))),
+    ex, ew, eb = leaf(1, 7, 5, 2), leaf(3, 3, 2, 3, scale=0.4), leaf(3)
+    worst["conv2d_dilated"] = grad_check(
+        lambda: ad.mean_all(ad.square(ad.conv2d(ex, ew, eb, dilation=(2, 1)))),
         [ex, ew, eb], step=1e-5)
     nx, ng, nb = leaf(2, 6, 3), leaf(3), leaf(3)
     worst["instance_norm"] = grad_check(

@@ -118,8 +118,7 @@ def _text(v):
 def test_every_echoed_field_is_a_cli_key():
     # one non-default value per field of the three configs
     mc = ModelConfig(dense_channel=6, depth=3, lke_kernel=15, lsg_kernel=5, mask_beta=1.5,
-                     variant="classic_ts", classic_channel=8, adjust_depthwise=True,
-                     drop=("ca", "lke"))
+                     variant="classic_ts", classic_channel=8, drop=("ca", "lke"))
     sc = StftConfig(n_fft=512, win_length=512, hop=128, compression=0.5)
     tc = TrainConfig(batch_size=3, max_steps=7, lr=2e-4, beta1=0.85, beta2=0.95, eps=1e-7,
                      weight_decay=0.02, eval_every=3, checkpoint_every=5, seed=9,
@@ -128,7 +127,7 @@ def test_every_echoed_field_is_a_cli_key():
     echo = config_echo(mc, sc, tc)
     default_echo = config_echo(ModelConfig(), StftConfig(), TrainConfig())
     keys = [key for _, key, _ in ECHOED_FIELDS]
-    assert len(keys) == 28 and sorted(echo) == sorted(keys) == sorted(default_echo)
+    assert len(keys) == 27 and sorted(echo) == sorted(keys) == sorted(default_echo)
     assert "window" not in echo
     assert all(echo[k] != default_echo[k] for k in keys)
 
@@ -548,6 +547,41 @@ def test_resume_config_mismatch(trained, tmp_path, capsys):
                "--steps", "4", "--resume", str(trained["ckpt"])])
     assert rc == 2
     assert "dense_channel" in capsys.readouterr().err
+
+
+def _with_adjust_depthwise(trained, path, on):
+    """The tiny checkpoint as a build that had the ``adjust_depthwise`` key
+    wrote it: the key in the echo and, when on, each layer's 3x3 depthwise
+    stencil and its optimizer moments in the payload."""
+    from densetsnet.checkpoint import load_checkpoint, save_checkpoint
+    arrays, echo, extra = load_checkpoint(trained["ckpt"])
+    if on:
+        for prefix in ("p/", "m/", "v/"):
+            arrays[f"{prefix}trunk/blk1/adjust_dw/w"] = np.full((3, 3, 2), 0.1)
+            arrays[f"{prefix}trunk/blk1/adjust_dw/b"] = np.zeros(2)
+    save_checkpoint(path, arrays, {**echo, "adjust_depthwise": on}, extra)
+    return path
+
+
+def test_adjust_depthwise_checkpoints_fail_by_name(trained, tmp_path, capsys):
+    """The key and its layers are gone: a checkpoint that holds those layers
+    is refused with the name of one, never run with them left out; one
+    written with the key off loads and resumes."""
+    src = str(trained["noisy"] / "utt000.wav")
+    for on in (True, False):
+        ckpt = str(_with_adjust_depthwise(trained, tmp_path / f"adw_{on}.dtsn", on))
+        runs = [["enhance", "--ckpt", ckpt, "--in", src, "--out", str(tmp_path / f"{on}.wav")],
+                ["inspect", "--ckpt", ckpt],
+                ["train", "--out", str(tmp_path / f"run_{on}"), "--synthetic", "2", "--quiet",
+                 "--steps", "3", "--resume", ckpt] + TINY_SET]
+        for argv in runs:
+            capsys.readouterr()
+            rc = main(argv)
+            err = capsys.readouterr().err
+            if on:
+                assert rc == 2 and "trunk/blk1/adjust_dw/b" in err, (argv[0], rc, err)
+            else:
+                assert rc == 0, (argv[0], err)
 
 
 def test_train_drop_and_no_consistency(tmp_path):

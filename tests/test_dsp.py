@@ -13,7 +13,7 @@ from densetsnet.dsp import (AudioClip, ComplexSpec, StftConfig, cola_deviation,
                             stft, stft_pair, wrap_phase)
 from densetsnet.errors import ConfigError, DataError, ShapeError
 
-from helpers import istft_ref, snr_db, stft_ref
+from helpers import istft_ref, snr_db, stft_ref, sum_all
 
 CFG = StftConfig()
 
@@ -122,7 +122,7 @@ def test_non_multiple_nfft_adjoints():
     re, im = stft_pair(x, CFG_512)
     y = istft_pair(re, im, CFG_512, 1111)
     probe = rng.standard_normal(y.shape)
-    backward(ad.sum_all(ad.mul_const(y, probe)))
+    backward(sum_all(ad.mul_const(y, probe)))
     # synthesis after analysis is the identity on waveforms, and so is its adjoint
     assert np.max(np.abs(y.data - x.data)) < 1e-10
     assert np.max(np.abs(x.grad - probe)) < 1e-10
@@ -180,7 +180,7 @@ def test_adjoint_identity_stft():
     yr = rng.standard_normal(re.shape)
     yi = rng.standard_normal(im.shape)
     lhs = float((re.data * yr).sum() + (im.data * yi).sum())
-    loss = ad.add(ad.sum_all(ad.mul_const(re, yr)), ad.sum_all(ad.mul_const(im, yi)))
+    loss = ad.add(sum_all(ad.mul_const(re, yr)), sum_all(ad.mul_const(im, yi)))
     backward(loss)
     rhs = float((x.data * x.grad).sum())
     assert abs(lhs - rhs) / max(abs(lhs), 1.0) < 1e-10
@@ -193,7 +193,7 @@ def test_adjoint_identity_istft():
     im = Tensor(rng.standard_normal((1, t, 201)), requires_grad=True)
     y = istft_pair(re, im, CFG, 900)
     probe = rng.standard_normal(y.shape)
-    backward(ad.sum_all(ad.mul_const(y, probe)))
+    backward(sum_all(ad.mul_const(y, probe)))
     lhs = float((y.data * probe).sum())
     rhs = float((re.data * re.grad).sum() + (im.data * im.grad).sum())
     assert abs(lhs - rhs) / max(abs(lhs), 1.0) < 1e-10
@@ -295,7 +295,7 @@ def test_power_compress_identity_and_grad():
     out = power_compress(mag, 0.5)
     assert np.allclose(out.data, np.sqrt(mag.data))
     z = Tensor(np.zeros((1, 2, 2)), requires_grad=True)
-    backward(ad.sum_all(power_compress(z, 0.5)))
+    backward(sum_all(power_compress(z, 0.5)))
     assert np.all(np.isfinite(z.grad))  # clamped, not infinite
 
 

@@ -22,3 +22,26 @@ def test_every_exported_name_resolves():
         listed[name] = [n for n in exports if not hasattr(mod, n)]
     assert {"densetsnet", "densetsnet.autodiff"} <= set(listed)
     assert all(not missing for missing in listed.values()), listed
+
+
+def test_every_public_op_has_a_library_caller():
+    """An op that only tests call belongs in ``tests/helpers.py``: every op
+    in ``autodiff.__all__`` is used by another module of the package, as
+    ``ad.<name>`` or imported by name."""
+    import ast
+    from pathlib import Path
+
+    import densetsnet.autodiff as ad
+
+    used = set()
+    for path in Path(densetsnet.__file__).parent.glob("*.py"):
+        if path.name == "autodiff.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "ad"):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("autodiff"):
+                used.update(alias.name for alias in node.names)
+    not_ops = {"Tensor", "backward", "grad_check", "no_grad"}
+    assert sorted(set(ad.__all__) - not_ops - used) == []

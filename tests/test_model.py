@@ -72,15 +72,13 @@ def mvgb_macs(c, t, f, pooled_pos, lke_k=31, lsg_k=3, drop=()):
     return total
 
 
-def dense_macs(c, depth, t, f, drop=(), adjust_depthwise=False):
+def dense_macs(c, depth, t, f, drop=()):
     total = t * f * c                               # lift
     for i in range(1, depth + 1):
         ci = c * i
         total += mvgb_macs(ci, t, f, pooled_pos=f, drop=drop)   # time view
         total += mvgb_macs(ci, t, f, pooled_pos=t, drop=drop)   # frequency view
         total += t * f * c * ci                     # adjust
-        if adjust_depthwise:
-            total += t * f * c * 9                  # 3x3 per-channel stencil
     total += t * f * c                              # mask head
     return total
 
@@ -133,12 +131,10 @@ DROP_SETS = [(), ("lke",), ("ca",), ("lsg",), ("ca", "lke", "lsg")]
 def test_macs_law_sweep():
     for c, depth, t in [(2, 2, 50), (4, 4, 321), (3, 5, 100)]:
         for drop in DROP_SETS:
-            for adw in (False, True):
-                cfg = ModelConfig(dense_channel=c, depth=depth, drop=drop, adjust_depthwise=adw)
-                model = DenseTsNet(cfg, SCFG)
-                for tt, f in [(t, F_BINS), (7, 33)]:
-                    want = dense_macs(c, depth, tt, f, drop=drop, adjust_depthwise=adw)
-                    assert model.count_macs(t=tt, f=f) == want, (c, depth, drop, adw, tt, f)
+            model = DenseTsNet(ModelConfig(dense_channel=c, depth=depth, drop=drop), SCFG)
+            for tt, f in [(t, F_BINS), (7, 33)]:
+                want = dense_macs(c, depth, tt, f, drop=drop)
+                assert model.count_macs(t=tt, f=f) == want, (c, depth, drop, tt, f)
 
 
 def test_classic_golden_and_law_sweep():
@@ -311,17 +307,6 @@ def test_drop_set_is_normalized_and_checked():
         ModelConfig(drop=("nothere",))
 
 
-def test_adjust_depthwise_adds_parameters():
-    base = DenseTsNet(ModelConfig(), SCFG).count_params()
-    dw = DenseTsNet(ModelConfig(adjust_depthwise=True), SCFG)
-    # one 3x3 per-channel stencil plus bias per layer
-    assert dw.count_params() == base + 4 * (9 * 4 + 4)
-    rng = np.random.default_rng(7)
-    mag = np.abs(rng.standard_normal((1, 5, F_BINS)))
-    _, enh = dw.forward(Tensor(mag))
-    assert np.all(np.isfinite(enh.data))
-
-
 def test_classic_baseline_golden_and_ratio():
     classic = ClassicTsNet(ModelConfig(variant="classic_ts"), SCFG)
     assert classic.count_params() == 10828
@@ -390,9 +375,8 @@ def test_compression_affects_features_not_target():
 @pytest.mark.parametrize("cfg, stft_cfg", [
     (ModelConfig(), SCFG),
     (ModelConfig(variant="classic_ts"), SCFG),
-    (ModelConfig(adjust_depthwise=True), SCFG),
     (ModelConfig(drop=("ca",)), StftConfig(compression=0.5)),
-], ids=["dense_ts", "classic_ts", "adjust_depthwise", "drop_ca_compressed"])
+], ids=["dense_ts", "classic_ts", "drop_ca_compressed"])
 def test_float32_forward_records_only_float32_nodes(cfg, stft_cfg, monkeypatch):
     """After ``store.astype(np.float32)`` every node of a no_grad forward is
     float32: one silent upcast would give the inference saving back.  The

@@ -348,8 +348,7 @@ def test_dataset_caches_loads(dataset):
 
 def test_config_echo_round_trip():
     mc = ModelConfig(dense_channel=6, depth=3, variant="classic_ts",
-                     classic_channel=8, drop=("CA", "lke"), mask_beta=1.5,
-                     adjust_depthwise=True)
+                     classic_channel=8, drop=("CA", "lke"), mask_beta=1.5)
     sc = StftConfig(n_fft=512, win_length=512, hop=128, compression=0.5)
     tc = TrainConfig(batch_size=3, lr=2e-4, lambda2=0.05, seed=9)
     echo = config_echo(mc, sc, tc)
@@ -634,13 +633,25 @@ def test_train_without_validation_clips_skips_validation(synth_dir, tmp_path):
                                    valid_fraction=0.0))
     assert ds.valid_names == []
     lines = []
-    res = train(TINY_MODEL, StftConfig(), _tiny_train_cfg(max_steps=2, eval_every=1), ds,
+    res = train(TINY_MODEL, StftConfig(),
+                _tiny_train_cfg(max_steps=2, eval_every=1, valid_fraction=0.0), ds,
                 tmp_path, log=lines.append)
     assert res.final_val == {}
     rows = read_curves_csv(res.curves_path)
     assert [(r["val_mag_error"], r["val_quality"]) for r in rows] == [("", "")] * 2
     assert any("skipping validation" in ln for ln in lines), lines
     assert not any("nan" in ln for ln in lines), lines
+
+
+def test_train_refuses_a_valid_fraction_that_disagrees_with_the_split(dataset, tmp_path):
+    """The split comes from the dataset, the echo from the train config: a
+    run that validates on 0.1 of the clips must not record 0.3 in every
+    checkpoint, so train names both values and starts nothing."""
+    assert dataset.spec.valid_fraction == 0.1
+    with pytest.raises(ConfigError, match=r"valid_fraction 0\.3.*0\.1"):
+        train(TINY_MODEL, StftConfig(), _tiny_train_cfg(valid_fraction=0.3), dataset,
+              tmp_path / "run")
+    assert not (tmp_path / "run").exists()
 
 
 def test_loss_study_needs_validation_clips(synth_dir, tmp_path):

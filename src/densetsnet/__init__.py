@@ -12,8 +12,8 @@ from .dsp import (AudioClip, ComplexSpec, StftConfig, consistency_project,
 from .errors import (ConfigError, DataError, GraphError, NumericalError,
                      ShapeError, ToolkitError)
 from .evaluation import EvalReport, evaluate_dir, evaluate_pair, spectral_errors, ssnr
-from .losses import (Discriminator, LossWeights, discriminator_loss,
-                     generator_loss, metric_loss, proxy_quality)
+from .losses import (Discriminator, discriminator_loss, generator_loss,
+                     metric_loss, proxy_quality)
 from .model import ClassicTsNet, DenseTsNet, ModelConfig, build_model
 from .params import ParamStore
 from .training import (AdamW, DatasetSpec, PairedDataset, TrainConfig,
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdamW", "AudioClip", "ClassicTsNet", "ComplexSpec", "ConfigError",
     "DataError", "DatasetSpec", "DenseTsNet", "Discriminator", "EvalReport",
-    "GraphError", "LossWeights", "ModelConfig", "NumericalError",
+    "GraphError", "ModelConfig", "NumericalError",
     "PairedDataset", "ParamStore", "ShapeError", "StftConfig", "Tensor",
     "ToolkitError", "TrainConfig", "TrainResult", "backward", "build_model",
     "compare_variants", "consistency_project", "discriminator_loss",

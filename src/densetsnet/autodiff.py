@@ -93,7 +93,7 @@ from .errors import GraphError, ShapeError
 
 __all__ = [
     "Tensor", "backward", "grad_check", "no_grad",
-    "add", "sub", "mul", "scale", "mul_const", "square", "sigmoid",
+    "add", "sub", "mul", "mul_const", "square", "sigmoid",
     "hardswish", "learnable_sigmoid", "reshape", "transpose", "concat_last",
     "mean", "mean_all", "complex_magnitude",
     "conv1d", "conv2d_pointwise", "conv2d", "instance_norm",
@@ -354,15 +354,6 @@ def mul(a, b):
     return _make(da * db, (a, b), bwd)
 
 
-def scale(x, c):
-    """Multiply by a python scalar constant."""
-    c = float(c)
-
-    def bwd(g):
-        return (g * c,)
-    return _make(x.data * c, (x,), bwd)
-
-
 def mul_const(x, arr):
     """Elementwise product with a constant array broadcastable into x's shape."""
     arr = np.asarray(arr, dtype=x.dtype)
@@ -435,7 +426,7 @@ def _scaled_sigmoid_grad(g, s, c):
 def learnable_sigmoid(x, alpha, beta=2.0):
     """beta * sigmoid(alpha_c * x) with a learnable per-channel alpha.
 
-    One node with the arithmetic of ``scale(sigmoid(x * alpha), beta)``
+    One node with the arithmetic of ``mul_const(sigmoid(x * alpha), beta)``
     with a per-channel product (the tests' ``channel_scale``), in the same
     order, so values and grads match it bit for bit;
     the closure keeps only the sigmoid.  At beta 1 the result is the
@@ -748,7 +739,11 @@ def conv2d(x, w, b, stride=(1, 1), dilation=(1, 1)):
     return _conv_node("conv2d", x, w, b, _dense_taps, w.data, tuple(stride), tuple(dilation))
 
 
-def _norm_core(x, gamma, beta, eps, op="instance_norm"):
+# added to every instance norm's variance before the square root
+NORM_EPS = 1e-5
+
+
+def _norm_core(x, gamma, beta, op="instance_norm"):
     """Validate an instance norm's operands and return (xhat, inv): the
     normalized input and 1 / std per (instance, channel).  The forward of
     every op built on the norm; its backward is ``_norm_backward``."""
@@ -764,7 +759,7 @@ def _norm_core(x, gamma, beta, eps, op="instance_norm"):
     mu = d.mean(axis=1, keepdims=True)
     xhat = d - mu
     var = (xhat ** 2).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat *= inv
     return xhat, inv
 
@@ -791,13 +786,13 @@ def _norm_backward(g, xhat, inv, gd, dtype):
     return gg.astype(dtype, copy=False), ggamma, gbeta
 
 
-def instance_norm(x, gamma, beta, eps=1e-5):
+def instance_norm(x, gamma, beta):
     """Normalize each (instance, channel) over the length axis of (N, L, C).
 
     Biased variance, then a per-channel affine.  L must be at least 2; a
     single position has no meaningful variance.  The closure keeps ``xhat``.
     """
-    xhat, inv = _norm_core(x, gamma, beta, eps)
+    xhat, inv = _norm_core(x, gamma, beta)
     gd, dtype = gamma.data, x.dtype
 
     def bwd(g):
@@ -805,13 +800,13 @@ def instance_norm(x, gamma, beta, eps=1e-5):
     return _make(_norm_affine(xhat, gd, beta.data, dtype), (x, gamma, beta), bwd)
 
 
-def norm_hardswish(x, gamma, beta, eps=1e-5):
+def norm_hardswish(x, gamma, beta):
     """``hardswish(instance_norm(x, gamma, beta))`` as one node, bit for bit.
 
     The closure keeps only ``xhat``; backward recomputes the norm's output
     for the slope.
     """
-    xhat, inv = _norm_core(x, gamma, beta, eps, "norm_hardswish")
+    xhat, inv = _norm_core(x, gamma, beta, "norm_hardswish")
     gd, bd, dtype = gamma.data, beta.data, x.dtype
     y = _norm_affine(xhat, gd, bd, dtype)
     if not _records(x, gamma, beta):
@@ -847,7 +842,7 @@ def _depthwise_check(op, w, b, c):
         raise ShapeError(f"{op} depthwise bias has shape {b.shape}, expected ({c},)")
 
 
-def norm_pointwise_gate(x, gamma, beta, w, b, dw_w, dw_b, eps=1e-5):
+def norm_pointwise_gate(x, gamma, beta, w, b, dw_w, dw_b):
     """``conv1d(simple_gate(conv1d(instance_norm(x, gamma, beta), w, b)), dw_w,
     dw_b, groups=Cg)`` for a kernel-1 conv with ``w`` of shape (1, C, 2 * Cg)
     and a depthwise conv with ``dw_w`` of shape (K, 1, Cg), as one node, bit
@@ -860,7 +855,7 @@ def norm_pointwise_gate(x, gamma, beta, w, b, dw_w, dw_b, eps=1e-5):
     depthwise product, which no grad reads.
     """
     op = "norm_pointwise_gate"
-    xhat, inv = _norm_core(x, gamma, beta, eps, op)
+    xhat, inv = _norm_core(x, gamma, beta, op)
     c2 = _pointwise_cout(op, x.shape, w, b)
     if c2 % 2:
         raise ShapeError(f"{op} needs an even Cout, got {c2}")
@@ -891,7 +886,7 @@ def norm_pointwise_gate(x, gamma, beta, w, b, dw_w, dw_b, eps=1e-5):
     return _make(out, (x, gamma, beta, w, b, dw_w, dw_b), bwd)
 
 
-def norm_hardswish_pointwise(x, gamma, beta, w, b, eps=1e-5):
+def norm_hardswish_pointwise(x, gamma, beta, w, b):
     """``conv1d(norm_hardswish(x, gamma, beta), w, b)`` for a kernel-1 conv
     with ``w`` of shape (1, C, Cout), as one node, bit for bit.
 
@@ -899,7 +894,7 @@ def norm_hardswish_pointwise(x, gamma, beta, w, b, eps=1e-5):
     conv's input; backward recomputes the norm's output and its hardswish,
     but not the 1x1 product, which no grad reads.
     """
-    xhat, inv = _norm_core(x, gamma, beta, eps, "norm_hardswish_pointwise")
+    xhat, inv = _norm_core(x, gamma, beta, "norm_hardswish_pointwise")
     _pointwise_cout("norm_hardswish_pointwise", x.shape, w, b)
     gd, bd, wd, cb, dtype = gamma.data, beta.data, w.data, b.data, x.dtype
     h = _norm_affine(xhat, gd, bd, dtype)
@@ -918,11 +913,11 @@ def norm_hardswish_pointwise(x, gamma, beta, w, b, eps=1e-5):
     return _make(out, (x, gamma, beta, w, b), bwd)
 
 
-def pointwise_learnable_sigmoid(x, dw_w, dw_b, w, b, alpha, beta=2.0):
+def pointwise_learnable_sigmoid(x, dw_w, dw_b, w, b, alpha):
     """``learnable_sigmoid(conv1d(conv1d(x, dw_w, dw_b, groups=C), w, b),
-    alpha, beta)`` for a depthwise conv with ``dw_w`` of shape (K, 1, C)
+    alpha, beta=1.0)`` for a depthwise conv with ``dw_w`` of shape (K, 1, C)
     and a kernel-1 conv with ``w`` of shape (1, C, Cout), as one node, bit
-    for bit.
+    for bit.  It returns the sigmoid array itself.
 
     The closure keeps x and the sigmoid, where the composed ops also keep
     the depthwise output and the 1x1 product; backward recomputes the
@@ -934,14 +929,13 @@ def pointwise_learnable_sigmoid(x, dw_w, dw_b, w, b, alpha, beta=2.0):
     _depthwise_check(op, dw_w, dw_b, x.shape[-1])
     if alpha.shape != (cout,):
         raise ShapeError(f"{op} alpha has shape {alpha.shape}, expected ({cout},)")
-    c = float(beta)
     xd, wd, cb, a = x.data, w.data, b.data, alpha.data
     dwd, dwb, dw_shape = dw_w.data[:, 0, :], dw_b.data, dw_w.shape
     want_x, want_a = x.requires_grad, alpha.requires_grad
     s = _scaled_sigmoid(_pointwise(_depthwise_1d(xd, dwd, dwb, False)[0], wd, cb), a)
 
     def bwd(g):
-        gs = _scaled_sigmoid_grad(g, s, c)
+        gs = _scaled_sigmoid_grad(g, s, 1.0)
         d, d_bwd = _depthwise_1d(xd, dwd, dwb, want_x)
         ga = None
         if want_a:  # products commute bit for bit, so both run in place
@@ -953,7 +947,7 @@ def pointwise_learnable_sigmoid(x, dw_w, dw_b, w, b, alpha, beta=2.0):
         del d, gs
         gx, gdw, gdb = d_bwd(gd)
         return gx, gdw.reshape(dw_shape), gdb, gw, gb, ga
-    return _make(s if c == 1.0 else s * c, (x, dw_w, dw_b, w, b, alpha), bwd)
+    return _make(s, (x, dw_w, dw_b, w, b, alpha), bwd)
 
 
 def gated_pointwise(x, ch, sp, w, b):

@@ -18,7 +18,6 @@ import numpy as np
 from .checkpoint import load_checkpoint
 from .errors import ConfigError, DataError, NumericalError, ShapeError
 from .evaluation import evaluate_dir
-from .losses import proxy_quality
 from .model import _DROPPABLE, _VARIANTS, build_model
 from .training import (ECHOED_FIELDS, DatasetSpec, PairedDataset, _make_dir,
                        configs_from_echo, enhance_waveforms, peak_rss_mb, synth_dataset,
@@ -179,9 +178,12 @@ def cmd_enhance(args) -> int:
         raise DataError(f"input not found: {in_path}")
     # every check runs before anything is created or written: each input's
     # header (format and length), the memory estimate and each target
-    frames = [wav_frames(source) for source, _ in pairs]
+    lengths = [wav_frames(source) for source, _ in pairs]
     avail = _available_bytes()
-    for (source, target), n in zip(pairs, frames):
+    for (source, target), n in zip(pairs, lengths):
+        if n < stft_cfg.win_length:
+            raise DataError(f"{source}: {n} samples is shorter than one window "
+                            f"({stft_cfg.win_length})")
         need = model.enhance_peak_bytes(stft_cfg.frame_count(n))
         if need > avail:
             raise DataError(f"{source}: enhancing it needs about {need / 2**20:.0f} MiB, "
@@ -197,7 +199,7 @@ def cmd_enhance(args) -> int:
     for source, target in pairs:
         _enhance_one(model, stft_cfg, source, target)
     cpu_s = time.process_time() - cpu0
-    audio_s = sum(frames) / SAMPLE_RATE  # > 0: a clip is at least one window
+    audio_s = sum(lengths) / SAMPLE_RATE  # > 0: a clip is at least one window
     print(f"{done} ({model.store.dtype}, {audio_s:.2f} s of audio, "
           f"CPU real-time factor {cpu_s / audio_s:.3f}, peak RSS {peak_rss_mb():.1f} MiB)")
     return 0
@@ -218,8 +220,7 @@ def _available_bytes() -> float:
 
 def cmd_eval(args) -> int:
     _, stft_cfg, _ = _build_configs(args)
-    report = evaluate_dir(args.clean_dir, args.enhanced_dir, stft_cfg,
-                          oracle=proxy_quality, csv_path=args.out)
+    report = evaluate_dir(args.clean_dir, args.enhanced_dir, stft_cfg, csv_path=args.out)
     means = report.means()
     print(f"evaluated {len(report.rows)} pairs -> {args.out}")
     print("mean: " + ", ".join(f"{k} {means[k]:.6g}" for k in report.METRICS))

@@ -225,10 +225,8 @@ def istft_pair(re: Tensor, im: Tensor, cfg: StftConfig, out_len: int) -> Tensor:
     return _make(out, (re, im), bwd)
 
 
-def stft(x, cfg: StftConfig) -> ComplexSpec:
+def stft(x: Tensor, cfg: StftConfig) -> ComplexSpec:
     """Full analysis to a magnitude/phase pair; phase carries no gradient."""
-    if isinstance(x, AudioClip):
-        x = Tensor(x.samples[None, :])
     re, im = stft_pair(x, cfg)
     mag = complex_magnitude(re, im)
     phase = Tensor(wrap_phase(np.arctan2(im.data, re.data)))
@@ -242,15 +240,13 @@ def istft(spec: ComplexSpec, cfg: StftConfig, out_len: int) -> Tensor:
                       cfg, out_len)
 
 
-def consistency_project(est_mag: Tensor, noisy_phase, cfg: StftConfig, out_len: int) -> Tensor:
+def consistency_project(est_mag: Tensor, noisy_phase: Tensor, cfg: StftConfig, out_len: int) -> Tensor:
     """Magnitude after synthesis-then-analysis with the given (fixed) phase.
 
     The result is the closest realizable magnitude: spectra that came from an
     actual waveform pass through unchanged, anything else gets pulled onto
     that set.  Differentiable w.r.t. est_mag only.
     """
-    if not isinstance(noisy_phase, Tensor):
-        noisy_phase = Tensor(noisy_phase)
     x = istft(ComplexSpec(est_mag, noisy_phase), cfg, out_len)
     return complex_magnitude(*stft_pair(x, cfg))
 

@@ -7,6 +7,8 @@ Conventions (fixed here, documented in every report header):
   - Phase error: anti-wrapped absolute difference, weighted by clean
     magnitude, silent bins excluded.  Group-delay weighting is an equally
     defensible convention; numbers are meant for relative comparison only.
+  - Quality: ``losses.proxy_quality``, segmental SNR through a logistic.
+    It stands in for PESQ, which the package does not implement.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ class EvalReport:
     def means(self) -> dict:
         out = {}
         for m in self.METRICS:
-            vals = [r[m] for r in self.rows if r.get(m) is not None]
+            vals = [r[m] for r in self.rows]
             out[m] = float(np.mean(vals)) if vals else float("nan")
         return out
 
@@ -113,34 +115,30 @@ class EvalReport:
         try:
             with open(path, "w", newline="") as f:
                 f.write(f"# {PHASE_CONVENTION}\n")
-                f.write("# quality column: built-in proxy oracle unless stated otherwise (not PESQ)\n")
+                f.write("# quality column: built-in proxy oracle (not PESQ)\n")
                 wr = csv.writer(f)
                 wr.writerow(["name", *self.METRICS])
                 for r in self.rows:
-                    wr.writerow([r["name"]] + [_fmt(r.get(m)) for m in self.METRICS])
-                wr.writerow(["MEAN"] + [_fmt(means[m]) for m in self.METRICS])
+                    wr.writerow([r["name"]] + [f"{r[m]:.17g}" for m in self.METRICS])
+                wr.writerow(["MEAN"] + [f"{means[m]:.17g}" for m in self.METRICS])
                 for name, reason in self.exclusions:
                     wr.writerow([f"EXCLUDED:{name}", reason, "", "", "", ""])
         except OSError as e:
             raise DataError(f"{path}: cannot write ({e.strerror or e})") from None
 
 
-def _fmt(v):
-    return "" if v is None else f"{v:.17g}"
-
-
-def evaluate_pair(clean_clip: AudioClip, est_clip: AudioClip, cfg: StftConfig, oracle=None) -> dict:
+def evaluate_pair(clean_clip: AudioClip, est_clip: AudioClip, cfg: StftConfig) -> dict:
+    from .losses import proxy_quality  # losses imports this module
     row = {
         "ssnr_db": ssnr(clean_clip, est_clip),
     }
     em, ep, ec = spectral_errors(clean_clip, est_clip, cfg)
     row.update(error_mag=em, error_pha=ep, error_com=ec)
-    row["quality"] = float(oracle(clean_clip, est_clip)) if oracle is not None else None
+    row["quality"] = proxy_quality(clean_clip, est_clip)
     return row
 
 
-def evaluate_dir(clean_dir, enhanced_dir, cfg: StftConfig, oracle=None,
-                 csv_path=None) -> EvalReport:
+def evaluate_dir(clean_dir, enhanced_dir, cfg: StftConfig, csv_path=None) -> EvalReport:
     """Pair files by name; failures are reported, never silently dropped."""
     from .wavio import wav_read
     clean_dir = Path(clean_dir)
@@ -157,7 +155,7 @@ def evaluate_dir(clean_dir, enhanced_dir, cfg: StftConfig, oracle=None,
         try:
             cclip = wav_read(clean_dir / name)
             eclip = wav_read(epath)
-            row = evaluate_pair(cclip, eclip, cfg, oracle)
+            row = evaluate_pair(cclip, eclip, cfg)
         except DataError as e:
             report.exclusions.append((name, str(e)))
             continue

@@ -12,8 +12,6 @@ the discriminator scores highly (weight lambda2, off by default).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -24,30 +22,19 @@ from .model import norm_hardswish_2d
 from .params import ParamStore
 
 
-@dataclass(frozen=True)
-class LossWeights:
-    lambda1: float = 1.0
-    lambda2: float = 0.0
-
-    def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ConfigError(f"loss weights must be non-negative, got {self.lambda1}, {self.lambda2}")
-        if self.lambda1 == 0 and self.lambda2 == 0:
-            raise ConfigError("loss weights cannot both be zero")
-
-
 def mag_mse(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"magnitude shapes differ: {a.shape} vs {b.shape}")
     return ad.mean_all(ad.square(ad.sub(a, b)))
 
 
-def generator_loss(weights: LossWeights, l_mag: Tensor, l_metric: Tensor | None = None) -> Tensor:
-    out = ad.scale(l_mag, weights.lambda1)
-    if weights.lambda2 > 0:
+def generator_loss(lambda1: float, lambda2: float, l_mag: Tensor,
+                   l_metric: Tensor | None = None) -> Tensor:
+    out = ad.mul_const(l_mag, lambda1)
+    if lambda2 > 0:
         if l_metric is None:
             raise ConfigError("lambda2 > 0 requires a metric loss term")
-        out = ad.add(out, ad.scale(l_metric, weights.lambda2))
+        out = ad.add(out, ad.mul_const(l_metric, lambda2))
     return out
 
 
@@ -108,10 +95,10 @@ def metric_loss(disc: Discriminator, x_m: Tensor, x_consis: Tensor) -> Tensor:
     return ad.mean_all(ad.square(ad.sub(d, ones)))
 
 
-# Quality oracles.  The plug-in contract: callable(clean clip, estimate clip)
-# -> one real in [0, 1].  A real PESQ backend would be normalized as
-# (pesq + 0.5) / 5; the built-in proxy below maps segmental SNR through a
-# logistic pinned so identical signals score exactly 1.
+# The quality score in [0, 1] behind the discriminator's targets and the
+# validation and report quality columns.  It stands in for PESQ, which the
+# package does not implement (PESQ would map to (pesq + 0.5) / 5): segmental
+# SNR through a logistic pinned so identical signals score exactly 1.
 
 _Q_MID = 15.0
 _Q_TAU = 6.0

@@ -129,7 +129,7 @@ def mvgb_forward(x: Tensor, p: MvgbParams) -> Tensor:
         ch = ad.conv1d(ad.mean(g, axis=1), p.ca["w"], p.ca["b"])
     if p.lsg:
         sp = ad.pointwise_learnable_sigmoid(g, p.lsg["dw_w"], p.lsg["dw_b"], p.lsg["pw_w"],
-                                            p.lsg["pw_b"], p.lsg["alpha"], beta=1.0)
+                                            p.lsg["pw_b"], p.lsg["alpha"])
     return ad.add(x, ad.gated_pointwise(g, ch, sp, p.fuse_w, p.fuse_b))
 
 
@@ -302,7 +302,7 @@ class DenseTsNet(_MaskNet):
                     f"layer {lay.index}: expected {lay.cin} input channels, got {skip.shape[-1]}")
             a = ad.conv2d_pointwise(ts_mvgb_forward(skip, lay.p_time, lay.p_freq),
                                     lay.adjust_w, lay.adjust_b)
-        out = ad.add(ad.scale(a, RESIDUAL_GAIN), x)
+        out = ad.add(ad.mul_const(a, RESIDUAL_GAIN), x)
         return out, {"lifted": x, "trunk": out, "a_last": a}
 
 

@@ -9,6 +9,7 @@ PCG64 stream whose state rides along in checkpoints.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import resource
 import sys
@@ -23,8 +24,8 @@ from .autodiff import Tensor, backward, no_grad
 from .checkpoint import load_checkpoint, save_checkpoint
 from .dsp import AudioClip, ComplexSpec, StftConfig, consistency_project, istft, stft
 from .errors import ConfigError, DataError, NumericalError
-from .losses import (Discriminator, LossWeights, discriminator_loss,
-                     generator_loss, mag_mse, metric_loss, proxy_quality)
+from .losses import (Discriminator, discriminator_loss, generator_loss, mag_mse,
+                     metric_loss, proxy_quality)
 from .model import _VARIANTS, ModelConfig, build_model
 from .params import ParamStore
 
@@ -72,11 +73,10 @@ class TrainConfig:
             raise ConfigError("segment_samples must be positive")
         if not 0.0 <= self.valid_fraction < 1.0:
             raise ConfigError(f"valid_fraction must be in [0, 1), got {self.valid_fraction}")
-        LossWeights(self.lambda1, self.lambda2)  # not-both-zero check
-
-    @property
-    def weights(self) -> LossWeights:
-        return LossWeights(self.lambda1, self.lambda2)
+        if self.lambda1 < 0 or self.lambda2 < 0:
+            raise ConfigError(f"loss weights must be non-negative, got {self.lambda1}, {self.lambda2}")
+        if self.lambda1 == 0 and self.lambda2 == 0:
+            raise ConfigError("loss weights cannot both be zero")
 
 
 class AdamW:
@@ -193,11 +193,10 @@ def _paired_segment(c: np.ndarray, n: np.ndarray, seg: int, rng):
 
 
 def make_batch(ds: PairedDataset, rng, batch_size: int, seg: int,
-               stft_cfg: StftConfig, names=None) -> Batch:
-    pool = names if names is not None else ds.train_names
+               stft_cfg: StftConfig) -> Batch:
     cs, ns, ids = [], [], []
     for _ in range(batch_size):
-        name = pool[int(rng.integers(len(pool)))]
+        name = ds.train_names[int(rng.integers(len(ds.train_names)))]
         cclip, nclip = ds.load(name)
         c, n, off = _paired_segment(cclip.samples, nclip.samples, seg, rng)
         cs.append(c)
@@ -280,11 +279,6 @@ class TrainResult:
     model: object
 
 
-def _estimate_waveforms(est_mag_data: np.ndarray, phase: np.ndarray,
-                        stft_cfg: StftConfig, out_len: int) -> np.ndarray:
-    return istft(ComplexSpec(Tensor(est_mag_data), Tensor(phase)), stft_cfg, out_len).data
-
-
 def enhance_waveforms(model, noisy: np.ndarray, stft_cfg: StftConfig):
     """Mask one clip's noisy magnitude and resynthesise with the noisy phase.
 
@@ -313,13 +307,13 @@ def _valid_items(dataset: PairedDataset, seg: int) -> list:
     return items
 
 
-def _validate(model, items, stft_cfg, seg, oracle):
+def _validate(model, items, stft_cfg):
     errs, quals = [], []
     for clean_seg, noisy_seg in items:
         cmag = stft(Tensor(clean_seg[None, :]), stft_cfg).mag.data
         enh, est = enhance_waveforms(model, noisy_seg, stft_cfg)
         errs.append(float(np.mean((cmag - enh) ** 2)))
-        quals.append(float(oracle(AudioClip(clean_seg), AudioClip(est))))
+        quals.append(proxy_quality(AudioClip(clean_seg), AudioClip(est)))
     return float(np.mean(errs)), float(np.mean(quals))
 
 
@@ -336,8 +330,7 @@ def _open_step_log(path: Path, header: list, start_step: int):
 
 
 def train(model_cfg: ModelConfig, stft_cfg: StftConfig, train_cfg: TrainConfig,
-          dataset: PairedDataset, out_dir, oracle=None, resume=None,
-          log=None) -> TrainResult:
+          dataset: PairedDataset, out_dir, resume=None, log=None) -> TrainResult:
     if train_cfg.valid_fraction != dataset.spec.valid_fraction:
         raise ConfigError(f"valid_fraction {train_cfg.valid_fraction} would be echoed in every "
                           f"checkpoint, but the dataset splits off {dataset.spec.valid_fraction}")
@@ -346,14 +339,12 @@ def train(model_cfg: ModelConfig, stft_cfg: StftConfig, train_cfg: TrainConfig,
     seg = train_cfg.segment_samples
     if seg < stft_cfg.win_length:
         raise ConfigError(f"segment_samples {seg} shorter than one window {stft_cfg.win_length}")
-    oracle = oracle if oracle is not None else proxy_quality
-    weights = train_cfg.weights
 
     model = build_model(model_cfg, stft_cfg, seed=train_cfg.seed)
     opt = AdamW(model.store, lr=train_cfg.lr, betas=(train_cfg.beta1, train_cfg.beta2),
                 eps=train_cfg.eps, weight_decay=train_cfg.weight_decay)
     disc = disc_opt = None
-    if weights.lambda2 > 0:
+    if train_cfg.lambda2 > 0:
         disc = Discriminator(seed=train_cfg.seed + 1)
         disc_opt = AdamW(disc.store, lr=train_cfg.lr, betas=(train_cfg.beta1, train_cfg.beta2),
                          eps=train_cfg.eps, weight_decay=train_cfg.weight_decay)
@@ -362,10 +353,18 @@ def train(model_cfg: ModelConfig, stft_cfg: StftConfig, train_cfg: TrainConfig,
     start_step = 0
     best_val = None
     echo = config_echo(model_cfg, stft_cfg, train_cfg)
+    # the clips the run validates on, and a digest of those it trains on
+    split = {"valid": dataset.valid_names,
+             "train_sha256": hashlib.sha256("\n".join(dataset.train_names).encode()).hexdigest()}
 
     if resume is not None:
         arrays, saved_echo, extra = load_checkpoint(resume)
         _check_resume_echo(saved_echo, echo)
+        saved = extra.get("split", split)  # a checkpoint from before the record has none
+        if saved != split:
+            other = "" if saved["valid"] != split["valid"] else " with other training clips"
+            raise ConfigError(f"checkpoint validated on {saved['valid']}, this dataset on "
+                              f"{split['valid']}{other}; use its clips and dataset seed")
         if train_cfg.max_steps < int(extra["step"]):
             raise ConfigError(f"max_steps {train_cfg.max_steps} is below the checkpoint's "
                               f"step {extra['step']}: {resume} has trained past it")
@@ -394,7 +393,7 @@ def train(model_cfg: ModelConfig, stft_cfg: StftConfig, train_cfg: TrainConfig,
         arrays = {f"p/{k}": p.data for k, p in model.store.items()}
         arrays.update(opt.state_arrays(""))
         extra = {"step": step, "opt_t": opt.t, "rng_state": rng.bit_generator.state,
-                 "best_val": best_val}
+                 "best_val": best_val, "split": split}
         if disc is not None:
             arrays.update({f"dp/{k}": p.data for k, p in disc.store.items()})
             arrays.update(disc_opt.state_arrays("d"))
@@ -419,8 +418,9 @@ def train(model_cfg: ModelConfig, stft_cfg: StftConfig, train_cfg: TrainConfig,
             l_metric = None
             l_disc_val = 0.0
             if disc is not None:
-                est_wavs = _estimate_waveforms(enh.data, batch.noisy_phase.data, stft_cfg, seg)
-                q = [oracle(AudioClip(batch.clean[i]), AudioClip(est_wavs[i]))
+                est_wavs = istft(ComplexSpec(Tensor(enh.data), batch.noisy_phase),
+                                 stft_cfg, seg).data
+                q = [proxy_quality(AudioClip(batch.clean[i]), AudioClip(est_wavs[i]))
                      for i in range(train_cfg.batch_size)]
                 x_det = Tensor(x_out.data.copy())
                 disc.store.zero_grad()
@@ -433,7 +433,7 @@ def train(model_cfg: ModelConfig, stft_cfg: StftConfig, train_cfg: TrainConfig,
                 disc.store.zero_grad()
                 l_metric = metric_loss(disc, batch.clean_mag, x_out)
 
-            l_g = generator_loss(weights, l_mag, l_metric)
+            l_g = generator_loss(train_cfg.lambda1, train_cfg.lambda2, l_mag, l_metric)
             if not np.isfinite(l_g.data):
                 _dump_abort(out_dir, step, batch, "generator loss")
             backward(l_g)
@@ -447,7 +447,7 @@ def train(model_cfg: ModelConfig, stft_cfg: StftConfig, train_cfg: TrainConfig,
 
             val_err = val_q = ""
             if valid_items and (step % train_cfg.eval_every == 0 or step == train_cfg.max_steps):
-                ve, vq = _validate(model, valid_items, stft_cfg, seg, oracle)
+                ve, vq = _validate(model, valid_items, stft_cfg)
                 val_err = f"{ve:.10g}"
                 val_q = f"{vq:.10g}"
                 if best_val is None or ve < best_val:
@@ -538,13 +538,13 @@ def synth_dataset(n_pairs: int, seed: int, out_dir, duration_s: float = 3.0) -> 
 # ---------------------------------------------------------------------------
 
 def compare_variants(dataset: PairedDataset, stft_cfg: StftConfig,
-                     train_cfg: TrainConfig, out_dir, oracle=None) -> dict:
+                     train_cfg: TrainConfig, out_dir) -> dict:
     """Train both variants under one config; write a side-by-side summary."""
     out_dir = Path(out_dir)
     results = {}
     for variant in _VARIANTS:
         results[variant] = train(ModelConfig(variant=variant), stft_cfg, train_cfg, dataset,
-                                 out_dir / variant, oracle=oracle)
+                                 out_dir / variant)
     lines = ["variant,final_val_mag_error,final_val_quality,params"]
     for variant, res in results.items():
         lines.append(f"{variant},{res.final_val.get('val_mag_error', '')},"
@@ -560,7 +560,7 @@ def compare_variants(dataset: PairedDataset, stft_cfg: StftConfig,
 
 
 def loss_study(dataset: PairedDataset, stft_cfg: StftConfig, train_cfg: TrainConfig,
-               out_dir, p_values=(0.0, 1.0, 200.0), oracle=None) -> dict:
+               out_dir, p_values=(0.0, 1.0, 200.0)) -> dict:
     """Sweep the metric-loss weight ratio P = lambda2/lambda1 and report the
     spectral errors of each trained model on the validation items."""
     from .evaluation import spectral_errors
@@ -573,7 +573,7 @@ def loss_study(dataset: PairedDataset, stft_cfg: StftConfig, train_cfg: TrainCon
     rows = ["p,error_mag,error_pha,error_com,final_l_mag"]
     for p in p_values:
         cfg = replace(train_cfg, lambda1=1.0, lambda2=float(p))
-        res = train(ModelConfig(), stft_cfg, cfg, dataset, out_dir / f"p{p:g}", oracle=oracle)
+        res = train(ModelConfig(), stft_cfg, cfg, dataset, out_dir / f"p{p:g}")
         errs = []
         for c, n in valid_items:
             _, est = enhance_waveforms(res.model, n, stft_cfg)

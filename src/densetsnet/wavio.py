@@ -60,11 +60,8 @@ def wav_frames(path) -> int:
     return _read(path, data=False)[0]
 
 
-def wav_write(path, clip_or_samples):
-    if isinstance(clip_or_samples, AudioClip):
-        samples = clip_or_samples.samples
-    else:
-        samples = np.asarray(clip_or_samples, dtype=np.float64)
+def wav_write(path, samples):
+    samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 1:
         raise DataError(f"can only write mono 1-d signals, got shape {samples.shape}")
     if not np.all(np.isfinite(samples)):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from densetsnet import (
+    ComplexSpec,
     DatasetSpec,
     ModelConfig,
     PairedDataset,
@@ -40,7 +41,6 @@ from densetsnet.cli import main
 from densetsnet.dsp import cola_deviation
 from densetsnet.losses import mag_mse
 from densetsnet.model import RESIDUAL_GAIN
-from densetsnet.training import _estimate_waveforms
 
 from helpers import channel_scale, simple_gate, snr_db, sum_all
 
@@ -106,8 +106,8 @@ def test_01_gradient_correctness():
         step=1e-5)
     mc = leaf(3, 4, 2)
     arr = rng.standard_normal((3, 4, 2))
-    worst["scale+mul_const"] = grad_check(
-        lambda: ad.mean_all(ad.mul_const(ad.scale(mc, 1.7), arr)), [mc], step=1e-5)
+    worst["mul_const"] = grad_check(
+        lambda: ad.mean_all(ad.mul_const(ad.mul_const(mc, 1.7), arr)), [mc], step=1e-5)
 
     # shape ops
     r = leaf(2, 3, 4)
@@ -306,7 +306,7 @@ def test_06_overfit_smoke(tmp_path):
     phase = np.arctan2(im.data, re.data)
     with ad.no_grad():  # nothing reads the tape of this 3 s clip
         _, enh = res.model.forward(Tensor(mag))
-    est = _estimate_waveforms(enh.data, phase, StftConfig(), len(noisy))[0]
+    est = istft(ComplexSpec(enh, Tensor(phase)), StftConfig(), len(noisy)).data[0]
     gain = ssnr(clean, est) - ssnr(clean, noisy)
 
     ok = drop >= 0.90 and gain >= 3.0 and minutes < 10.0

@@ -31,7 +31,7 @@ def test_elementwise_forward_matches_numpy():
         assert np.allclose(ad.sub(Tensor(a), Tensor(b)).data, a - b)
         assert np.allclose(ad.mul(Tensor(a), Tensor(b)).data, a * b)
         assert np.allclose(ad.square(Tensor(a)).data, a ** 2)
-        assert np.allclose(ad.scale(Tensor(a), 2.5).data, 2.5 * a)
+        assert np.allclose(ad.mul_const(Tensor(a), 2.5).data, 2.5 * a)
 
 
 def test_sigmoid_forward():
@@ -331,7 +331,7 @@ def test_learnable_sigmoid_is_the_composed_ops_bit_for_bit(beta):
     r = rng.standard_normal((2, 9, 4))
     results = []
     for op in (ad.learnable_sigmoid,
-               lambda x, a, beta: ad.scale(ad.sigmoid(channel_scale(x, a)), beta)):
+               lambda x, a, beta: ad.mul_const(ad.sigmoid(channel_scale(x, a)), beta)):
         x, a = Tensor(x0.copy(), requires_grad=True), Tensor(a0.copy(), requires_grad=True)
         out = op(x, a, beta=beta)
         results.append([out.data] + _grads_for(r, out, (x, a)))
@@ -345,7 +345,8 @@ def _gate_composed(x, g, b, w, c, dw, db):
 
 
 def _spatial_composed(x, dw, db, w, b, a):
-    return ad.learnable_sigmoid(ad.conv1d(ad.conv1d(x, dw, db, groups=dw.shape[-1]), w, b), a)
+    return ad.learnable_sigmoid(ad.conv1d(ad.conv1d(x, dw, db, groups=dw.shape[-1]), w, b), a,
+                                beta=1.0)
 
 
 # fused op -> (composed ops it stands for, operand shapes); the part before
@@ -743,7 +744,7 @@ def test_parent_links_expose_data_backward_and_parents():
     x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
     c = Tensor(np.array([0.5, 0.5, 0.5]))
     h = ad.square(x)
-    y = sum_all(ad.scale(ad.mul(h, c), 3.0))
+    y = sum_all(ad.mul_const(ad.mul(h, c), 3.0))
     inner, calls = y._backward, []
 
     def spy(g):
@@ -786,12 +787,11 @@ _F32_CASES = {
     "add": lambda mk: (lambda a, b: (ad.add(a, b), (a, b)))(mk(2, 3, 4), mk(4)),
     "sub": lambda mk: (lambda a, b: (ad.sub(a, b), (a, b)))(mk(2, 3, 4), mk(2, 1, 4)),
     "mul": lambda mk: (lambda a, b: (ad.mul(a, b), (a, b)))(mk(2, 3, 4), mk(2, 1, 4)),
-    "scale": lambda mk: (lambda a: (ad.scale(a, 2.5), (a,)))(mk(3, 4)),
     "mul_const": lambda mk: (lambda a: (ad.mul_const(a, np.linspace(0.5, 2.0, 4)), (a,)))(
         mk(3, 4)),
     "square": lambda mk: (lambda a: (ad.square(a), (a,)))(mk(3, 4)),
     "sigmoid": lambda mk: (lambda a: (ad.sigmoid(a), (a,)))(mk(3, 4)),
-    "hardswish": lambda mk: (lambda a: (ad.hardswish(ad.scale(a, 4.0)), (a,)))(mk(3, 8)),
+    "hardswish": lambda mk: (lambda a: (ad.hardswish(ad.mul_const(a, 4.0)), (a,)))(mk(3, 8)),
     "simple_gate": lambda mk: (lambda a: (simple_gate(a), (a,)))(mk(2, 3, 4)),
     "learnable_sigmoid": lambda mk: (lambda a, al: (ad.learnable_sigmoid(a, al), (a, al)))(
         mk(2, 3, 4), mk(4)),

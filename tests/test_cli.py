@@ -82,6 +82,13 @@ def test_config_file_bad_line_numbered(tmp_path, capsys):
     assert ":3:" in capsys.readouterr().err
 
 
+def test_train_rejects_two_zero_loss_weights_before_creating_anything(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["train", "--out", str(out), "--synthetic", "2", "--set", "lambda1=0"]) == 2
+    assert "cannot both be zero" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_needs_data_source(tmp_path, capsys):
     rc = main(["train", "--out", str(tmp_path)])
     assert rc == 2
@@ -253,22 +260,27 @@ def test_enhance_directory_checks_every_target_before_writing(trained, tmp_path,
         assert len(wav_read(out_dir / name)) == len(wav_read(trained["noisy"] / name))
 
 
-def test_enhance_directory_checks_every_input_before_writing(trained, tmp_path, capsys):
-    # a.wav is fine, b.wav is at 8 kHz: found before a.wav is enhanced, and
-    # before the output directory is created
+@pytest.mark.parametrize("rate, samples, reason", [
+    (8000, 4000, "8000 Hz"),
+    (16000, 100, "100 samples is shorter than one window (400)"),
+])
+def test_enhance_directory_checks_every_input_before_writing(trained, tmp_path, capsys,
+                                                             rate, samples, reason):
+    # a.wav is fine, b.wav is at 8 kHz or shorter than one window: found
+    # before a.wav is enhanced, and before the output directory is created
     in_dir = tmp_path / "in"
     in_dir.mkdir()
     (in_dir / "a.wav").write_bytes((trained["noisy"] / "utt000.wav").read_bytes())
     with wave.open(str(in_dir / "b.wav"), "wb") as w:
         w.setnchannels(1)
         w.setsampwidth(2)
-        w.setframerate(8000)
-        w.writeframes(np.zeros(4000, dtype="<i2").tobytes())
+        w.setframerate(rate)
+        w.writeframes(np.zeros(samples, dtype="<i2").tobytes())
     out_dir = tmp_path / "out"
     assert main(["enhance", "--ckpt", str(trained["ckpt"]), "--in", str(in_dir),
                  "--out", str(out_dir)]) == 3
     err = capsys.readouterr().err
-    assert "b.wav" in err and "8000 Hz" in err, err
+    assert "b.wav" in err and reason in err, err
     assert not out_dir.exists()
 
 

@@ -239,7 +239,7 @@ def test_projection_idempotent_with_rederived_phase():
     re1, im1 = stft_pair(x1, CFG)
     mag1 = np.hypot(re1.data, im1.data)
     phase1 = np.arctan2(im1.data, re1.data)
-    p = consistency_project(Tensor(mag1), phase1, CFG, 1600)
+    p = consistency_project(Tensor(mag1), Tensor(phase1), CFG, 1600)
     assert np.max(np.abs(p.data - mag1)) < 1e-8
 
 
@@ -247,14 +247,14 @@ def test_projection_contracts_arbitrary_magnitudes():
     rng = np.random.default_rng(8)
     mag = np.abs(rng.standard_normal((1, 17, 201)))
     phase = rng.uniform(-np.pi, np.pi, (1, 17, 201))
-    p1 = consistency_project(Tensor(mag), phase, CFG, 1600)
+    p1 = consistency_project(Tensor(mag), Tensor(phase), CFG, 1600)
     assert np.max(np.abs(p1.data - mag)) > 1e-3  # the projection actually moved it
 
 
 def test_projection_gradient():
     rng = np.random.default_rng(9)
     mag = Tensor(np.abs(rng.standard_normal((1, 5, 201))) + 0.1, requires_grad=True)
-    phase = rng.uniform(-np.pi, np.pi, (1, 5, 201))
+    phase = Tensor(rng.uniform(-np.pi, np.pi, (1, 5, 201)))
     target = np.abs(rng.standard_normal((1, 5, 201)))
 
     def f():
@@ -279,13 +279,13 @@ def test_projection_gradient():
 def test_projection_rejects_negative_magnitude():
     mag = Tensor(np.full((1, 5, 201), -0.1))
     with pytest.raises(DataError):
-        consistency_project(mag, np.zeros((1, 5, 201)), CFG, 400)
+        consistency_project(mag, Tensor(np.zeros((1, 5, 201))), CFG, 400)
 
 
 def test_projection_phase_shape_contract():
     mag = Tensor(np.zeros((1, 5, 201)))
     with pytest.raises(ShapeError):
-        consistency_project(mag, np.zeros((1, 4, 201)), CFG, 400)
+        consistency_project(mag, Tensor(np.zeros((1, 4, 201))), CFG, 400)
 
 
 def test_power_compress_identity_and_grad():

@@ -9,7 +9,6 @@ from densetsnet.errors import DataError
 from densetsnet.evaluation import (SSNR_CEIL_DB, SSNR_FLOOR_DB, EvalReport,
                                    evaluate_dir, evaluate_pair,
                                    spectral_errors, ssnr)
-from densetsnet.losses import proxy_quality
 from densetsnet.wavio import wav_write
 
 from helpers import read_report_csv, stft_ref
@@ -138,12 +137,10 @@ def test_wrap_phase_anti_wrap_in_error():
 def test_evaluate_pair_row_contents():
     rng = np.random.default_rng(10)
     clean = AudioClip(rng.standard_normal(1600) * 0.3)
-    row = evaluate_pair(clean, clean, CFG, oracle=proxy_quality)
+    row = evaluate_pair(clean, clean, CFG)
     assert row["ssnr_db"] == 35.0
     assert row["quality"] == 1.0
     assert row["error_mag"] == 0.0
-    row2 = evaluate_pair(clean, clean, CFG)  # oracle optional
-    assert row2["quality"] is None
 
 
 def test_report_csv_mean_recompute(tmp_path):
@@ -152,7 +149,7 @@ def test_report_csv_mean_recompute(tmp_path):
     for i in range(5):
         clean = AudioClip(rng.standard_normal(1600) * 0.3)
         est = AudioClip(clean.samples + 0.05 * rng.standard_normal(1600))
-        row = evaluate_pair(clean, est, CFG, oracle=proxy_quality)
+        row = evaluate_pair(clean, est, CFG)
         row["name"] = f"utt{i}.wav"
         report.rows.append(row)
     report.exclusions.append(("broken.wav", "missing enhanced file"))
@@ -178,8 +175,7 @@ def test_evaluate_dir_pairs_and_exclusions(tmp_path):
         wav_write(tmp_path / "clean" / f"utt{i}.wav", x)
         if i < 2:
             wav_write(tmp_path / "enh" / f"utt{i}.wav", x + 0.01 * rng.standard_normal(1600))
-    report = evaluate_dir(tmp_path / "clean", tmp_path / "enh", CFG,
-                          oracle=proxy_quality, csv_path=tmp_path / "r.csv")
+    report = evaluate_dir(tmp_path / "clean", tmp_path / "enh", CFG, csv_path=tmp_path / "r.csv")
     assert len(report.rows) == 2
     assert report.exclusions == [("utt2.wav", "missing enhanced file")]
     assert (tmp_path / "r.csv").exists()
@@ -241,8 +237,7 @@ def test_evaluate_dir_identical_is_perfect(tmp_path):
         x = 0.2 * rng.standard_normal(2000)
         wav_write(tmp_path / "clean" / f"u{i}.wav", x)
         wav_write(tmp_path / "enh" / f"u{i}.wav", x)
-    report = evaluate_dir(tmp_path / "clean", tmp_path / "enh", CFG,
-                          oracle=proxy_quality)
+    report = evaluate_dir(tmp_path / "clean", tmp_path / "enh", CFG)
     assert len(report.rows) == 2
     for row in report.rows:
         assert row["ssnr_db"] == SSNR_CEIL_DB

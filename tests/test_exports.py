@@ -45,3 +45,36 @@ def test_every_public_op_has_a_library_caller():
                 used.update(alias.name for alias in node.names)
     not_ops = {"Tensor", "backward", "grad_check", "no_grad"}
     assert sorted(set(ad.__all__) - not_ops - used) == []
+
+
+def test_every_op_parameter_is_set_by_a_library_caller():
+    """A parameter with a default that no library call sets is a knob with
+    one value in use: every such parameter of an op in ``autodiff.__all__``
+    is passed, by keyword or by position, at some call in the package."""
+    import ast
+    import inspect
+    from pathlib import Path
+
+    import densetsnet.autodiff as ad
+
+    # the library runs every depthwise conv through a fused op or conv1d's
+    # router; groups stays for the composed reference in tests/helpers.py
+    exempt = {("conv1d", "groups")}
+    not_ops = {"Tensor", "backward", "grad_check", "no_grad"}
+    ops = {name: inspect.signature(getattr(ad, name)).parameters
+           for name in set(ad.__all__) - not_ops}
+    knobs = {(name, p) for name, params in ops.items() for p, par in params.items()
+             if par.default is not par.empty}
+    passed = set()
+    for path in Path(densetsnet.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = (f.attr if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                    and f.value.id == "ad" else f.id if isinstance(f, ast.Name) else None)
+            if name not in ops:
+                continue
+            passed.update((name, kw.arg) for kw in node.keywords)
+            passed.update((name, p) for p in list(ops[name])[:len(node.args)])
+    assert sorted(knobs - exempt - passed) == []

@@ -10,8 +10,8 @@ import densetsnet.autodiff as ad
 from densetsnet.autodiff import Tensor, backward
 from densetsnet.dsp import AudioClip, StftConfig, consistency_project, stft
 from densetsnet.errors import ConfigError, ShapeError
-from densetsnet.losses import (Discriminator, LossWeights, discriminator_loss,
-                               generator_loss, mag_mse, metric_loss, proxy_quality)
+from densetsnet.losses import (Discriminator, discriminator_loss, generator_loss, mag_mse,
+                               metric_loss, proxy_quality)
 
 CFG = StftConfig()
 
@@ -19,15 +19,6 @@ CFG = StftConfig()
 def consistency_loss(clean_mag, est_mag, noisy_phase, out_len):
     """The training loss, as ``train`` builds it."""
     return mag_mse(clean_mag, consistency_project(est_mag, noisy_phase, CFG, out_len))
-
-
-def test_loss_weights_validation():
-    LossWeights(1.0, 0.05)
-    LossWeights(0.0, 1.0)
-    with pytest.raises(ConfigError):
-        LossWeights(0.0, 0.0)
-    with pytest.raises(ConfigError):
-        LossWeights(-1.0, 0.0)
 
 
 def test_mag_mse_matches_numpy():
@@ -73,11 +64,11 @@ def test_consistency_loss_gradient_flows_to_estimate():
 def test_generator_loss_combination():
     l_mag = Tensor(np.array(0.25))
     l_met = Tensor(np.array(0.5))
-    assert abs(generator_loss(LossWeights(2.0, 0.0), l_mag).item() - 0.5) < 1e-15
-    got = generator_loss(LossWeights(1.0, 200.0), l_mag, l_met).item()
+    assert abs(generator_loss(2.0, 0.0, l_mag).item() - 0.5) < 1e-15
+    got = generator_loss(1.0, 200.0, l_mag, l_met).item()
     assert abs(got - (0.25 + 200.0 * 0.5)) < 1e-12
     with pytest.raises(ConfigError):
-        generator_loss(LossWeights(1.0, 0.5), l_mag, None)
+        generator_loss(1.0, 0.5, l_mag, None)
 
 
 def test_discriminator_output_range_and_shape():
@@ -196,5 +187,5 @@ def test_proxy_quality_tracks_ssnr_formula():
 def test_lambda2_zero_keeps_graph_clear_of_discriminator():
     # with the metric weight off the generator objective must not touch D
     l_mag = Tensor(np.array(0.3), requires_grad=True)
-    out = generator_loss(LossWeights(1.0, 0.0), l_mag, l_metric=None)
+    out = generator_loss(1.0, 0.0, l_mag, l_metric=None)
     assert out._parents == (l_mag,)

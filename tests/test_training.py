@@ -56,6 +56,8 @@ from helpers import (adamw_ref, mvgb_forward_composed, norm_hardswish_2d_compose
     {"segment_samples": 0},
     {"valid_fraction": 1.0},
     {"lambda1": 0.0, "lambda2": 0.0},
+    {"lambda1": -1.0},
+    {"lambda2": -0.5},
 ])
 def test_train_config_rejects(kw):
     with pytest.raises(ConfigError):
@@ -64,8 +66,8 @@ def test_train_config_rejects(kw):
 
 def test_train_config_defaults_valid():
     cfg = TrainConfig()
-    w = cfg.weights
-    assert w.lambda1 == 1.0 and w.lambda2 == 0.0
+    assert cfg.lambda1 == 1.0 and cfg.lambda2 == 0.0
+    TrainConfig(lambda1=0.0, lambda2=1.0)  # one zero weight is fine
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +238,6 @@ def test_make_batch_matches_reference_stft(dataset):
         np.testing.assert_allclose(b.clean_mag.data[i], np.abs(spec_c), atol=1e-10)
 
 
-def test_make_batch_names_pool(dataset):
-    name = dataset.train_names[0]
-    b = make_batch(dataset, np.random.default_rng(1), 4, 1000, StftConfig(), names=[name])
-    assert all(ident.startswith(name + "@") for ident in b.ids)
-
-
 def test_batch_segments_align_with_source(dataset):
     b = make_batch(dataset, np.random.default_rng(2), 2, 2000, StftConfig())
     for i, ident in enumerate(b.ids):
@@ -394,9 +390,9 @@ def test_resume_from_an_echo_with_a_key_the_config_no_longer_has(dataset, tmp_pa
 
 
 def test_enhance_waveforms_matches_explicit_chain():
-    from densetsnet.dsp import stft_pair
+    from densetsnet.dsp import ComplexSpec, istft, stft_pair
     from densetsnet.model import build_model
-    from densetsnet.training import _estimate_waveforms, enhance_waveforms
+    from densetsnet.training import enhance_waveforms
 
     cfg = StftConfig()
     model = build_model(TINY_MODEL, cfg, seed=1)
@@ -404,7 +400,7 @@ def test_enhance_waveforms_matches_explicit_chain():
     re, im = stft_pair(Tensor(noisy[None, :]), cfg)
     _, enh = model.forward(Tensor(np.hypot(re.data, im.data)))
     phase = np.arctan2(im.data, re.data)
-    ref = _estimate_waveforms(enh.data, phase, cfg, len(noisy))[0]
+    ref = istft(ComplexSpec(Tensor(enh.data), Tensor(phase)), cfg, len(noisy)).data[0]
 
     enh_mag, est = enhance_waveforms(model, noisy, cfg)
     assert isinstance(enh_mag, np.ndarray) and isinstance(est, np.ndarray)
@@ -755,6 +751,31 @@ def test_train_resume_rejects_max_steps_below_the_checkpoint(dataset, tmp_path):
     again = train(TINY_MODEL, StftConfig(), _tiny_train_cfg(max_steps=2), dataset, tmp_path,
                   resume=ckpt)
     assert again.losses == []
+
+
+def test_train_resume_rejects_another_split(synth_dir, dataset, tmp_path):
+    """The dataset seed, or the clips in the directories, pick the split: a
+    resume on another split would silently validate or train on other
+    clips, so it fails.  A checkpoint written before the split was recorded
+    resumes as before."""
+    res = train(TINY_MODEL, StftConfig(), _tiny_train_cfg(max_steps=1), dataset, tmp_path)
+    ckpt = res.checkpoints[0]
+    longer = _tiny_train_cfg(max_steps=2)
+    reseeded = PairedDataset(DatasetSpec(str(synth_dir / "clean"), str(synth_dir / "noisy"),
+                                         seed=7))
+    assert reseeded.valid_names != dataset.valid_names
+    with pytest.raises(ConfigError, match=r"validated on \['utt002.wav'\].*utt000.wav"):
+        train(TINY_MODEL, StftConfig(), longer, reseeded, tmp_path, resume=ckpt)
+    fewer = PairedDataset(dataset.spec)
+    fewer.train_names = fewer.train_names[1:]
+    with pytest.raises(ConfigError, match="training clips"):
+        train(TINY_MODEL, StftConfig(), longer, fewer, tmp_path, resume=ckpt)
+
+    arrays, echo, extra = load_checkpoint(ckpt)
+    del extra["split"]
+    old = tmp_path / "old.dtsn"
+    save_checkpoint(old, arrays, echo, extra)
+    assert len(train(TINY_MODEL, StftConfig(), longer, reseeded, tmp_path, resume=old).losses) == 1
 
 
 def test_train_resume_rejects_config_mismatch(dataset, tmp_path):

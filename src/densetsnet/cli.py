@@ -1,7 +1,8 @@
 """Command-line surface: train, enhance, eval, inspect, synth-data.
 
-Configuration is a flat key=value namespace (file via --config, overrides via
---set key=value); every key is listed in --help.  Unknown keys are rejected
+Configuration is a flat key=value namespace: each key takes its default, then
+the value in the --config file, then the last --set key=value; no other
+option sets a key.  Every key is listed in --help.  Unknown keys are rejected
 by name.  Exit codes: 0 ok, 2 bad configuration, 3 bad data, 4 numerical
 abort.
 """
@@ -18,7 +19,7 @@ import numpy as np
 from .checkpoint import load_checkpoint
 from .errors import ConfigError, DataError, NumericalError, ShapeError
 from .evaluation import evaluate_dir
-from .model import _DROPPABLE, _VARIANTS, build_model
+from .model import build_model
 from .training import (ECHOED_FIELDS, DatasetSpec, PairedDataset, _make_dir,
                        configs_from_echo, enhance_waveforms, peak_rss_mb, synth_dataset,
                        train)
@@ -80,23 +81,13 @@ def _read_config_file(vals: dict, path: str):
 
 def _build_configs(args) -> tuple:
     vals = _defaults()
-    if getattr(args, "config", None):
+    if args.config:
         _read_config_file(vals, args.config)
-    for item in getattr(args, "set", None) or []:
+    for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
         _apply(vals, key.strip(), raw.strip(), "--set")
-    if getattr(args, "variant", None):
-        vals["variant"] = args.variant
-    if getattr(args, "drop", None):
-        vals["drop"] = tuple(vals.get("drop", ())) + tuple(d.lower() for d in args.drop)
-    if getattr(args, "no_consistency", False):
-        vals["use_consistency"] = False
-    if getattr(args, "seed", None) is not None:
-        vals["seed"] = args.seed
-    if getattr(args, "steps", None) is not None:
-        vals["max_steps"] = args.steps
 
     by_cls = {cls: {} for cls, _ in _KEYS.values()}
     for key, val in vals.items():
@@ -295,14 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--noisy-dir")
     t.add_argument("--synthetic", type=int, metavar="N",
                    help="generate an N-pair synthetic dataset instead of reading WAV dirs")
-    t.add_argument("--variant", choices=list(_VARIANTS))
-    t.add_argument("--drop", action="append",
-                   choices=[d.upper() for d in _DROPPABLE] + list(_DROPPABLE),
-                   help="replace a gaze-block branch with identity (repeatable)")
-    t.add_argument("--no-consistency", action="store_true",
-                   help="train on the raw magnitude error, skipping the projection")
-    t.add_argument("--seed", type=int)
-    t.add_argument("--steps", type=int, help="shorthand for --set max_steps=N")
     t.add_argument("--resume", help="checkpoint to continue from")
     t.add_argument("--quiet", action="store_true")
     t.set_defaults(fn=cmd_train)

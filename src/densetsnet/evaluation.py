@@ -138,8 +138,9 @@ def evaluate_pair(clean_clip: AudioClip, est_clip: AudioClip, cfg: StftConfig) -
     return row
 
 
-def evaluate_dir(clean_dir, enhanced_dir, cfg: StftConfig, csv_path=None) -> EvalReport:
-    """Pair files by name; failures are reported, never silently dropped."""
+def evaluate_dir(clean_dir, enhanced_dir, cfg: StftConfig, csv_path) -> EvalReport:
+    """Pair files by name and write the report to csv_path; failures are
+    reported, never silently dropped."""
     from .wavio import wav_read
     clean_dir = Path(clean_dir)
     enhanced_dir = Path(enhanced_dir)
@@ -161,6 +162,5 @@ def evaluate_dir(clean_dir, enhanced_dir, cfg: StftConfig, csv_path=None) -> Eva
             continue
         row["name"] = name
         report.rows.append(row)
-    if csv_path is not None:
-        report.write_csv(csv_path)
+    report.write_csv(csv_path)
     return report

@@ -246,10 +246,10 @@ class _MaskNet:
     def count_params(self) -> int:
         return self.store.count()
 
-    def count_macs(self, t: int = 321, f: int = 201) -> int:
+    def count_macs(self, t: int, f: int) -> int:
         return sum(m for _, _, m in self.layer_table(t, f))
 
-    def layer_table(self, t: int = 321, f: int = 201):
+    def layer_table(self, t: int, f: int):
         """Rows of (group, params, macs); groups partition every parameter.
         Each weight ``.../w`` is one linear map doing one MAC per weight
         entry at every position it runs at (``_positions``)."""

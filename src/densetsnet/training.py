@@ -80,23 +80,21 @@ class TrainConfig:
 
 
 class AdamW:
-    """Decoupled weight decay, bias-corrected moments.  Parameters with no
-    gradient this step still decay, matching the usual whole-group update."""
+    """Decoupled weight decay, bias-corrected moments, with the lr, betas, eps
+    and weight_decay of a TrainConfig.  Parameters with no gradient this step
+    still decay, matching the usual whole-group update."""
 
-    def __init__(self, store: ParamStore, lr=5e-4, betas=(0.8, 0.99), eps=1e-8,
-                 weight_decay=0.01):
+    def __init__(self, store: ParamStore, cfg: TrainConfig):
         self.store = store
-        self.lr = lr
-        self.betas = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
+        self.cfg = cfg
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in store.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in store.items()}
 
     def step(self):
         self.t += 1
-        b1, b2 = self.betas
+        cfg = self.cfg
+        b1, b2 = cfg.beta1, cfg.beta2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         for name, p in self.store.items():
@@ -107,8 +105,8 @@ class AdamW:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * np.square(g)
-            update = (m / c1) / (np.sqrt(v / c2) + self.eps)
-            p.data = p.data - self.lr * (update + self.weight_decay * p.data)
+            update = (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+            p.data = p.data - cfg.lr * (update + cfg.weight_decay * p.data)
 
     def state_arrays(self, prefix: str) -> dict:
         out = {}
@@ -177,7 +175,6 @@ class Batch:
     noisy_phase: Tensor
     clean_mag: Tensor
     clean: np.ndarray
-    noisy: np.ndarray
     ids: list = field(default_factory=list)
 
 
@@ -210,7 +207,6 @@ def make_batch(ds: PairedDataset, rng, batch_size: int, seg: int,
         noisy_phase=nspec.phase,
         clean_mag=stft(Tensor(clean), stft_cfg).mag,
         clean=clean,
-        noisy=noisy,
         ids=ids,
     )
 
@@ -341,13 +337,11 @@ def train(model_cfg: ModelConfig, stft_cfg: StftConfig, train_cfg: TrainConfig,
         raise ConfigError(f"segment_samples {seg} shorter than one window {stft_cfg.win_length}")
 
     model = build_model(model_cfg, stft_cfg, seed=train_cfg.seed)
-    opt = AdamW(model.store, lr=train_cfg.lr, betas=(train_cfg.beta1, train_cfg.beta2),
-                eps=train_cfg.eps, weight_decay=train_cfg.weight_decay)
+    opt = AdamW(model.store, train_cfg)
     disc = disc_opt = None
     if train_cfg.lambda2 > 0:
         disc = Discriminator(seed=train_cfg.seed + 1)
-        disc_opt = AdamW(disc.store, lr=train_cfg.lr, betas=(train_cfg.beta1, train_cfg.beta2),
-                         eps=train_cfg.eps, weight_decay=train_cfg.weight_decay)
+        disc_opt = AdamW(disc.store, train_cfg)
 
     rng = np.random.default_rng(train_cfg.seed)
     start_step = 0
@@ -370,9 +364,9 @@ def train(model_cfg: ModelConfig, stft_cfg: StftConfig, train_cfg: TrainConfig,
                               f"step {extra['step']}: {resume} has trained past it")
         model.store.load_state({k[2:]: v for k, v in arrays.items() if k.startswith("p/")})
         opt.load_state(arrays, "", extra["opt_t"])
-        if disc is not None and any(k.startswith("dp/") for k in arrays):
+        if disc is not None:
             disc.store.load_state({k[3:]: v for k, v in arrays.items() if k.startswith("dp/")})
-            disc_opt.load_state(arrays, "d", extra.get("disc_opt_t", 0))
+            disc_opt.load_state(arrays, "d", extra["disc_opt_t"])
         rng.bit_generator.state = extra["rng_state"]
         start_step = int(extra["step"])
         best_val = extra.get("best_val")
@@ -559,9 +553,13 @@ def compare_variants(dataset: PairedDataset, stft_cfg: StftConfig,
     return results
 
 
+# the metric-loss weight ratios P = lambda2/lambda1 that loss_study sweeps
+LOSS_STUDY_P = (0.0, 1.0, 200.0)
+
+
 def loss_study(dataset: PairedDataset, stft_cfg: StftConfig, train_cfg: TrainConfig,
-               out_dir, p_values=(0.0, 1.0, 200.0)) -> dict:
-    """Sweep the metric-loss weight ratio P = lambda2/lambda1 and report the
+               out_dir) -> dict:
+    """Sweep the metric-loss weight ratio P over LOSS_STUDY_P and report the
     spectral errors of each trained model on the validation items."""
     from .evaluation import spectral_errors
     valid_items = _valid_items(dataset, train_cfg.segment_samples)
@@ -571,7 +569,7 @@ def loss_study(dataset: PairedDataset, stft_cfg: StftConfig, train_cfg: TrainCon
     _make_dir(out_dir)
     results = {}
     rows = ["p,error_mag,error_pha,error_com,final_l_mag"]
-    for p in p_values:
+    for p in LOSS_STUDY_P:
         cfg = replace(train_cfg, lambda1=1.0, lambda2=float(p))
         res = train(ModelConfig(), stft_cfg, cfg, dataset, out_dir / f"p{p:g}")
         errs = []
@@ -582,7 +580,7 @@ def loss_study(dataset: PairedDataset, stft_cfg: StftConfig, train_cfg: TrainCon
         results[p] = {"errors": mean_errs, "result": res}
         rows.append(f"{p:g},{mean_errs[0]:.10g},{mean_errs[1]:.10g},{mean_errs[2]:.10g},"
                     f"{res.losses[-1]:.10g}")
-    mags = [results[p]["errors"][0] for p in p_values]
+    mags = [results[p]["errors"][0] for p in LOSS_STUDY_P]
     monotone = all(mags[i] <= mags[i + 1] for i in range(len(mags) - 1))
     rows.append(f"# error_mag monotone nondecreasing in P: {monotone} "
                 "(logged observation; training-dependent, not asserted)")

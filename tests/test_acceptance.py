@@ -351,7 +351,7 @@ def test_07_variant_comparison(ds4, tmp_path):
 def test_08_loss_weight_sweep(ds4, tmp_path):
     cfg = TrainConfig(batch_size=1, max_steps=10, eval_every=5,
                       checkpoint_every=10, segment_samples=2000, seed=0)
-    results = loss_study(ds4, StftConfig(), cfg, tmp_path, p_values=(0.0, 1.0, 200.0))
+    results = loss_study(ds4, StftConfig(), cfg, tmp_path)
 
     text = (tmp_path / "loss_study.csv").read_text().splitlines()
     assert text[0] == "p,error_mag,error_pha,error_com,final_l_mag"

@@ -29,7 +29,7 @@ TINY_SET = ["--set", "dense_channel=2", "--set", "depth=1",
 def trained(tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
     rc = main(["train", "--out", str(out), "--synthetic", "2", "--quiet",
-               "--steps", "2"] + TINY_SET)
+               "--set", "max_steps=2"] + TINY_SET)
     assert rc == 0
     ckpt = out / "ckpt_step2.dtsn"
     assert ckpt.exists()
@@ -438,10 +438,10 @@ BAD_PATHS = [
     (["inspect", "--ckpt", "{bad}"], "dir", 3),
     (["inspect", "--config", "{bad}"], "missing", 2),
     (["inspect", "--config", "{bad}"], "dir", 2),
-    (["train", "--out", "{bad}", "--synthetic", "1", "--quiet", "--steps", "1"], "file", 3),
-    (["train", "--out", "{out}", "--synthetic", "2", "--quiet", "--steps", "4",
+    (["train", "--out", "{bad}", "--synthetic", "1", "--quiet", "--set", "max_steps=1"], "file", 3),
+    (["train", "--out", "{out}", "--synthetic", "2", "--quiet", "--set", "max_steps=4",
       "--resume", "{bad}"], "missing", 3),
-    (["train", "--out", "{out}", "--synthetic", "2", "--quiet", "--steps", "4",
+    (["train", "--out", "{out}", "--synthetic", "2", "--quiet", "--set", "max_steps=4",
       "--resume", "{bad}"], "dir", 3),
     (["synth-data", "--out", "{bad}", "--pairs", "1"], "file", 3),
 ]
@@ -529,7 +529,7 @@ def test_eval_unwritable_report_exits_3(trained, tmp_path, capsys):
 def test_train_reports_and_resumes(trained, capsys):
     out = trained["out"]
     rc = main(["train", "--out", str(out), "--synthetic", "2", "--quiet",
-               "--steps", "4", "--resume", str(trained["ckpt"])] + TINY_SET)
+               "--set", "max_steps=4", "--resume", str(trained["ckpt"])] + TINY_SET)
     assert rc == 0
     stdout = capsys.readouterr().out
     assert "trained 4 steps" in stdout
@@ -540,23 +540,23 @@ def test_train_reports_and_resumes(trained, capsys):
 
 
 def test_train_resume_reports_the_steps_it_ran(trained, tmp_path, capsys):
-    """Resuming the step-2 checkpoint with --steps 1 used to exit 0 with
+    """Resuming the step-2 checkpoint with max_steps=1 used to exit 0 with
     "trained 1 steps" and run nothing; it is a config error naming both
     numbers.  The report counts the steps this call ran."""
     args = ["train", "--out", str(tmp_path), "--synthetic", "2", "--quiet",
             "--resume", str(trained["ckpt"])] + TINY_SET
-    assert main(args + ["--steps", "1"]) == 2
+    assert main(args + ["--set", "max_steps=1"]) == 2
     err = capsys.readouterr().err
     assert "max_steps 1" in err and "step 2" in err
-    assert main(args + ["--steps", "2"]) == 0
+    assert main(args + ["--set", "max_steps=2"]) == 0
     assert "trained 2 steps, 0 of them in this run" in capsys.readouterr().out
-    assert main(args + ["--steps", "3"]) == 0
+    assert main(args + ["--set", "max_steps=3"]) == 0
     assert "trained 3 steps, 1 of them in this run" in capsys.readouterr().out
 
 
 def test_resume_config_mismatch(trained, tmp_path, capsys):
     rc = main(["train", "--out", str(tmp_path), "--synthetic", "2", "--quiet",
-               "--steps", "4", "--resume", str(trained["ckpt"])])
+               "--set", "max_steps=4", "--resume", str(trained["ckpt"])])
     assert rc == 2
     assert "dense_channel" in capsys.readouterr().err
 
@@ -585,7 +585,7 @@ def test_adjust_depthwise_checkpoints_fail_by_name(trained, tmp_path, capsys):
         runs = [["enhance", "--ckpt", ckpt, "--in", src, "--out", str(tmp_path / f"{on}.wav")],
                 ["inspect", "--ckpt", ckpt],
                 ["train", "--out", str(tmp_path / f"run_{on}"), "--synthetic", "2", "--quiet",
-                 "--steps", "3", "--resume", ckpt] + TINY_SET]
+                 "--set", "max_steps=3", "--resume", ckpt] + TINY_SET]
         for argv in runs:
             capsys.readouterr()
             rc = main(argv)
@@ -598,15 +598,18 @@ def test_adjust_depthwise_checkpoints_fail_by_name(trained, tmp_path, capsys):
 
 def test_train_drop_and_no_consistency(tmp_path):
     rc = main(["train", "--out", str(tmp_path), "--synthetic", "1", "--quiet",
-               "--steps", "1", "--drop", "LKE", "--drop", "ca",
-               "--no-consistency"] + TINY_SET)
+               "--set", "max_steps=1", "--set", "drop=lke,ca",
+               "--set", "use_consistency=false"] + TINY_SET)
     assert rc == 0
     assert (tmp_path / "curves.csv").exists()
+    from densetsnet.checkpoint import load_checkpoint
+    _, echo, _ = load_checkpoint(tmp_path / "ckpt_step1.dtsn")
+    assert echo["drop"] == ["ca", "lke"] and echo["use_consistency"] is False
 
 
 def test_train_classic_variant(tmp_path, capsys):
     rc = main(["train", "--out", str(tmp_path), "--synthetic", "1", "--quiet",
-               "--steps", "1", "--variant", "classic_ts",
+               "--set", "max_steps=1", "--set", "variant=classic_ts",
                "--set", "classic_channel=2"] + TINY_SET)
     assert rc == 0
     ckpt = tmp_path / "ckpt_step1.dtsn"

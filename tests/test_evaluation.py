@@ -185,7 +185,7 @@ def test_evaluate_dir_empty_raises(tmp_path):
     (tmp_path / "clean").mkdir()
     (tmp_path / "enh").mkdir()
     with pytest.raises(DataError):
-        evaluate_dir(tmp_path / "clean", tmp_path / "enh", CFG)
+        evaluate_dir(tmp_path / "clean", tmp_path / "enh", CFG, tmp_path / "r.csv")
 
 
 def test_evaluate_dir_bad_file_becomes_exclusion(tmp_path):
@@ -194,7 +194,7 @@ def test_evaluate_dir_bad_file_becomes_exclusion(tmp_path):
     (tmp_path / "enh").mkdir()
     wav_write(tmp_path / "clean" / "a.wav", rng.standard_normal(1600) * 0.2)
     (tmp_path / "enh" / "a.wav").write_bytes(b"not a wav file")
-    report = evaluate_dir(tmp_path / "clean", tmp_path / "enh", CFG)
+    report = evaluate_dir(tmp_path / "clean", tmp_path / "enh", CFG, tmp_path / "r.csv")
     assert report.rows == []
     assert len(report.exclusions) == 1 and report.exclusions[0][0] == "a.wav"
 
@@ -237,7 +237,7 @@ def test_evaluate_dir_identical_is_perfect(tmp_path):
         x = 0.2 * rng.standard_normal(2000)
         wav_write(tmp_path / "clean" / f"u{i}.wav", x)
         wav_write(tmp_path / "enh" / f"u{i}.wav", x)
-    report = evaluate_dir(tmp_path / "clean", tmp_path / "enh", CFG)
+    report = evaluate_dir(tmp_path / "clean", tmp_path / "enh", CFG, tmp_path / "r.csv")
     assert len(report.rows) == 2
     for row in report.rows:
         assert row["ssnr_db"] == SSNR_CEIL_DB

@@ -78,3 +78,30 @@ def test_every_op_parameter_is_set_by_a_library_caller():
             passed.update((name, kw.arg) for kw in node.keywords)
             passed.update((name, p) for p in list(ops[name])[:len(node.args)])
     assert sorted(knobs - exempt - passed) == []
+
+
+def test_no_option_of_a_configured_subcommand_sets_a_config_key():
+    """A subcommand that takes ``--set`` reads every config key from the
+    defaults, ``--config`` and ``--set`` alone: no other option is named
+    after a key (``cli._KEYS``) or changes the configs it builds, whichever
+    of its values it is given."""
+    import argparse
+
+    from densetsnet.cli import _KEYS, _build_configs, build_parser
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    configured = {name: p for name, p in sub.choices.items()
+                  if any(a.dest == "set" for a in p._actions)}
+    assert set(configured) == {"train", "eval", "inspect"}
+    setters = set()
+    for name, parser in configured.items():
+        required = [s for a in parser._actions if a.required for s in (a.option_strings[0], "1")]
+        base = _build_configs(parser.parse_args(required))
+        for a in parser._actions:
+            if not a.option_strings or a.dest in ("help", "config", "set"):
+                continue
+            for value in [[]] if a.nargs == 0 else [[v] for v in a.choices or ["1"]]:
+                args = parser.parse_args(required + [a.option_strings[0]] + value)
+                if a.dest in _KEYS or _build_configs(args) != base:
+                    setters.add((name, a.option_strings[0]))
+    assert sorted(setters) == []

@@ -89,7 +89,7 @@ def test_adamw_first_step_closed_form():
     store = _store_from({"w": p0})
     store["w"].grad = g.copy()
     lr, wd, eps = 1e-3, 0.01, 1e-8
-    opt = AdamW(store, lr=lr, betas=(0.8, 0.99), eps=eps, weight_decay=wd)
+    opt = AdamW(store, TrainConfig(lr=lr, beta1=0.8, beta2=0.99, eps=eps, weight_decay=wd))
     opt.step()
     expected = p0 - lr * (g / (np.abs(g) + eps) + wd * p0)
     np.testing.assert_allclose(store["w"].data, expected, rtol=1e-14)
@@ -102,7 +102,7 @@ def test_adamw_matches_reference_over_steps():
     init = {k: rng.standard_normal(s) for k, s in shapes.items()}
     store = _store_from(init)
     lr, b1, b2, eps, wd = 3e-3, 0.85, 0.97, 1e-8, 0.02
-    opt = AdamW(store, lr=lr, betas=(b1, b2), eps=eps, weight_decay=wd)
+    opt = AdamW(store, TrainConfig(lr=lr, beta1=b1, beta2=b2, eps=eps, weight_decay=wd))
 
     ref_p = {k: v.copy() for k, v in init.items()}
     ref_m = {k: np.zeros_like(v) for k, v in init.items()}
@@ -131,7 +131,7 @@ def test_adamw_missing_grad_still_decays():
     store = _store_from({"w": p0})
     store["w"].grad = None
     lr, wd = 1e-2, 0.1
-    opt = AdamW(store, lr=lr, weight_decay=wd)
+    opt = AdamW(store, TrainConfig(lr=lr, weight_decay=wd))
     opt.step()
     np.testing.assert_allclose(store["w"].data, p0 - lr * wd * p0, rtol=1e-15)
     assert np.all(opt.m["w"] == 0.0) and np.all(opt.v["w"] == 0.0)
@@ -142,8 +142,8 @@ def test_adamw_state_round_trip():
     init = {"x": rng.standard_normal((2, 3))}
     store_a = _store_from(init)
     store_b = _store_from(init)
-    opt_a = AdamW(store_a, lr=1e-3)
-    opt_b = AdamW(store_b, lr=1e-3)
+    opt_a = AdamW(store_a, TrainConfig(lr=1e-3))
+    opt_b = AdamW(store_b, TrainConfig(lr=1e-3))
     grads = [rng.standard_normal((2, 3)) for _ in range(5)]
     for g in grads[:3]:
         store_a["x"].grad = g.copy()
@@ -215,7 +215,7 @@ def test_make_batch_shapes_ids_and_determinism(dataset):
     assert b.noisy_mag.data.shape == (3, t_frames, 201)
     assert b.noisy_phase.data.shape == (3, t_frames, 201)
     assert b.clean_mag.data.shape == (3, t_frames, 201)
-    assert b.clean.shape == (3, 2000) and b.noisy.shape == (3, 2000)
+    assert b.clean.shape == (3, 2000)
     assert np.all(b.noisy_mag.data >= 0.0)
     assert np.all((b.noisy_phase.data > -np.pi - 1e-12) & (b.noisy_phase.data <= np.pi + 1e-12))
     for ident in b.ids:
@@ -228,24 +228,31 @@ def test_make_batch_shapes_ids_and_determinism(dataset):
     np.testing.assert_array_equal(b2.noisy_mag.data, b.noisy_mag.data)
 
 
+def _noisy_segment(dataset, ident, seg):
+    name, off = ident.rsplit("@", 1)
+    return dataset.load(name)[1].samples[int(off):int(off) + seg]
+
+
 def test_make_batch_matches_reference_stft(dataset):
     cfg = StftConfig()
     b = make_batch(dataset, np.random.default_rng(9), 2, 2000, cfg)
     for i in range(2):
-        spec = stft_ref(b.noisy[i], cfg.n_fft, cfg.hop)
+        spec = stft_ref(_noisy_segment(dataset, b.ids[i], 2000), cfg.n_fft, cfg.hop)
         np.testing.assert_allclose(b.noisy_mag.data[i], np.abs(spec), atol=1e-10)
         spec_c = stft_ref(b.clean[i], cfg.n_fft, cfg.hop)
         np.testing.assert_allclose(b.clean_mag.data[i], np.abs(spec_c), atol=1e-10)
 
 
 def test_batch_segments_align_with_source(dataset):
-    b = make_batch(dataset, np.random.default_rng(2), 2, 2000, StftConfig())
+    from densetsnet.dsp import stft
+    cfg = StftConfig()
+    b = make_batch(dataset, np.random.default_rng(2), 2, 2000, cfg)
     for i, ident in enumerate(b.ids):
         name, off = ident.rsplit("@", 1)
         off = int(off)
-        cclip, nclip = dataset.load(name)
-        np.testing.assert_array_equal(b.clean[i], cclip.samples[off:off + 2000])
-        np.testing.assert_array_equal(b.noisy[i], nclip.samples[off:off + 2000])
+        np.testing.assert_array_equal(b.clean[i], dataset.load(name)[0].samples[off:off + 2000])
+    noisy = np.stack([_noisy_segment(dataset, ident, 2000) for ident in b.ids])
+    np.testing.assert_array_equal(b.noisy_mag.data, stft(Tensor(noisy), cfg).mag.data)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +506,7 @@ def _traced_training_step(mcfg):
 
     cfg = StftConfig()
     model = build_model(mcfg, cfg, seed=0)
-    opt = AdamW(model.store)
+    opt = AdamW(model.store, TrainConfig())
     rng = np.random.default_rng(4)
     clean = rng.standard_normal((1, 16000)) * 0.1
     noisy = clean + rng.standard_normal((1, 16000)) * 0.05
@@ -715,11 +722,14 @@ def test_train_rejects_segment_shorter_than_window(dataset, tmp_path):
         train(TINY_MODEL, StftConfig(), cfg, dataset, tmp_path)
 
 
-def test_train_resume_bit_exact(dataset, tmp_path):
-    full = _tiny_train_cfg(max_steps=6, eval_every=2, checkpoint_every=3)
+@pytest.mark.parametrize("lambda2", [0.0, 0.05])
+def test_train_resume_bit_exact(lambda2, dataset, tmp_path):
+    """A run resumed from its step-3 checkpoint ends where an uninterrupted
+    one does, with and without the discriminator and its optimizer."""
+    full = _tiny_train_cfg(max_steps=6, eval_every=2, checkpoint_every=3, lambda2=lambda2)
     ra = train(TINY_MODEL, StftConfig(), full, dataset, tmp_path / "a")
 
-    half = _tiny_train_cfg(max_steps=3, eval_every=2, checkpoint_every=3)
+    half = _tiny_train_cfg(max_steps=3, eval_every=2, checkpoint_every=3, lambda2=lambda2)
     rb1 = train(TINY_MODEL, StftConfig(), half, dataset, tmp_path / "b")
     assert rb1.losses == ra.losses[:3]
     ckpt = tmp_path / "b" / "ckpt_step3.dtsn"
@@ -880,7 +890,7 @@ def test_adamw_zero_grad_zero_decay_is_noop():
     p0 = np.array([0.7, -0.3])
     store = _store_from({"w": p0})
     store["w"].grad = np.zeros(2)
-    opt = AdamW(store, lr=1e-2, weight_decay=0.0)
+    opt = AdamW(store, TrainConfig(lr=1e-2, weight_decay=0.0))
     opt.step()
     np.testing.assert_array_equal(store["w"].data, p0)
 
@@ -890,7 +900,7 @@ def test_adamw_quadratic_first_step_is_lr_sized():
     store = _store_from({"w": np.array([1.0])})
     store["w"].grad = np.array([1.0])
     lr = 5e-4
-    opt = AdamW(store, lr=lr, weight_decay=0.0)
+    opt = AdamW(store, TrainConfig(lr=lr, weight_decay=0.0))
     opt.step()
     assert abs(store["w"].data[0] - (1.0 - lr)) < 1e-8
 
@@ -900,7 +910,7 @@ def test_adamw_equals_adam_without_decay():
     p = rng.standard_normal(6)
     store = _store_from({"w": p})
     lr, b1, b2, eps = 2e-3, 0.9, 0.999, 1e-8
-    opt = AdamW(store, lr=lr, betas=(b1, b2), eps=eps, weight_decay=0.0)
+    opt = AdamW(store, TrainConfig(lr=lr, beta1=b1, beta2=b2, eps=eps, weight_decay=0.0))
 
     # plain Adam, written out independently
     ref = p.copy()

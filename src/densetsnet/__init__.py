@@ -3,7 +3,17 @@
 The package carries its own reverse-mode autodiff, a differentiable STFT
 front-end, a dense two-stage masking network built from multi-view gaze
 blocks, consistency and metric losses, an AdamW trainer, and an evaluator.
+
+Importing the package runs BLAS on one thread unless the environment
+already sets a count: a second thread changes the rounding of BLAS products
+and so the loss curves, and buys no wall time at these widths.  That takes
+effect only when numpy is first imported after the package.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .autodiff import Tensor, backward, grad_check, no_grad
 from .checkpoint import load_checkpoint, save_checkpoint

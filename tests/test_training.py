@@ -6,6 +6,11 @@ so the whole module stays in the seconds range.
 """
 
 import json
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +44,8 @@ from densetsnet.training import (CURVE_COLUMNS, _paired_segment,
 
 from helpers import (adamw_ref, mvgb_forward_composed, norm_hardswish_2d_composed,
                      read_curves_csv, stft_ref)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # ---------------------------------------------------------------------------
@@ -828,17 +835,20 @@ def test_train_resume_does_not_duplicate_curve_rows(dataset, tmp_path):
 
 
 def test_train_writes_step_timing_and_resume_keeps_earlier_rows(dataset, tmp_path):
-    """timing.csv has one row per step with CPU and wall seconds and the
-    peak RSS so far; a resumed run keeps the rows up to its checkpoint, as
-    it does in curves.csv, and curves.csv keeps its columns."""
+    """timing.csv has one row per step with CPU and wall seconds, the peak
+    RSS so far, and the step's kernel seconds and minor page faults; a
+    resumed run keeps the rows up to its checkpoint, as it does in
+    curves.csv, and curves.csv keeps its columns."""
     cfg = _tiny_train_cfg(max_steps=4, eval_every=2, checkpoint_every=2)
     train(TINY_MODEL, StftConfig(), cfg, dataset, tmp_path)
     first = (tmp_path / "timing.csv").read_text().splitlines()
-    assert first[0] == ",".join(training.TIMING_COLUMNS) == "step,cpu_s,wall_s,peak_rss_mb"
+    assert first[0] == ",".join(training.TIMING_COLUMNS) == \
+        "step,cpu_s,wall_s,peak_rss_mb,sys_s,minor_faults"
     assert [ln.split(",")[0] for ln in first[1:]] == ["1", "2", "3", "4"]
     for ln in first[1:]:
-        _, cpu_s, wall_s, peak_mb = map(float, ln.split(","))
-        assert cpu_s > 0 and wall_s > 0 and peak_mb > 10
+        _, cpu_s, wall_s, peak_mb, sys_s, faults = ln.split(",")
+        assert float(cpu_s) > 0 and float(wall_s) > 0 and float(peak_mb) > 10
+        assert 0 <= float(sys_s) <= float(cpu_s) and int(faults) >= 0
 
     train(TINY_MODEL, StftConfig(), cfg, dataset, tmp_path,
           resume=tmp_path / "ckpt_step2.dtsn")
@@ -846,6 +856,91 @@ def test_train_writes_step_timing_and_resume_keeps_earlier_rows(dataset, tmp_pat
     assert again[:3] == first[:3]
     assert [ln.split(",")[0] for ln in again[1:]] == ["1", "2", "3", "4"]
     assert (tmp_path / "curves.csv").read_text().splitlines()[1] == ",".join(CURVE_COLUMNS)
+
+
+def test_resume_gives_an_older_step_log_the_current_header(dataset, tmp_path):
+    """A timing.csv begun before the sys_s and minor_faults columns keeps its
+    rows up to the checkpoint under the header of the rows appended now."""
+    cfg = _tiny_train_cfg(max_steps=3, eval_every=2, checkpoint_every=2)
+    train(TINY_MODEL, StftConfig(), cfg, dataset, tmp_path)
+    path = tmp_path / "timing.csv"
+    old = [",".join(ln.split(",")[:4]) for ln in path.read_text().splitlines()]
+    path.write_text("\n".join(old) + "\n")
+    train(TINY_MODEL, StftConfig(), cfg, dataset, tmp_path, resume=tmp_path / "ckpt_step2.dtsn")
+    lines = path.read_text().splitlines()
+    assert lines[0] == ",".join(training.TIMING_COLUMNS)
+    assert lines[1:3] == old[1:3]
+    assert [len(ln.split(",")) for ln in lines[1:]] == [4, 4, len(training.TIMING_COLUMNS)]
+
+
+# Run in a fresh interpreter, so the heap starts as glibc leaves it, with
+# segments and a step count of the smoke shape (batch 1 x 4000 samples).
+HEAP_SCRIPT = textwrap.dedent("""
+    import sys
+    from densetsnet import (DatasetSpec, ModelConfig, PairedDataset, StftConfig,
+                            TrainConfig, synth_dataset, train)
+    root = sys.argv[1]
+    synth_dataset(4, seed=0, out_dir=root + "/data", duration_s=1.0)
+    ds = PairedDataset(DatasetSpec(root + "/data/clean", root + "/data/noisy",
+                                   valid_fraction=0.25))
+    cfg = TrainConfig(batch_size=1, segment_samples=4000, max_steps=7, valid_fraction=0.25)
+    train(ModelConfig(), StftConfig(), cfg, ds, root + "/run")
+""")
+
+# Median minor faults of a smoke step from step 3 on.  Measured on a 2-vCPU
+# x86 VM (glibc 2.36): 23K-29K per step when glibc trims the freed tape and
+# the next forward faults it in again, and 1-131 with the heap held.
+HELD_HEAP_FAULTS = 2000
+
+
+def _subprocess_env(**overrides):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    for k, v in overrides.items():
+        if v is None:
+            env.pop(k, None)
+        else:
+            env[k] = v
+    return env
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap thresholds are glibc's")
+def test_train_keeps_its_heap_between_steps(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", HEAP_SCRIPT, str(tmp_path)],
+                          capture_output=True, text=True, env=_subprocess_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows = (tmp_path / "run" / "timing.csv").read_text().splitlines()
+    col = training.TIMING_COLUMNS.index("minor_faults")
+    faults = [int(ln.split(",")[col]) for ln in rows[1:]]
+    assert len(faults) == 7
+    assert np.median(faults[2:]) < HELD_HEAP_FAULTS, faults
+
+
+def _no_libc(name):
+    raise OSError("cannot open the C library")
+
+
+@pytest.mark.parametrize("cdll", [_no_libc, lambda name: object()],
+                         ids=["no-libc", "no-mallopt"])
+def test_hold_heap_is_a_no_op_without_mallopt(monkeypatch, cdll):
+    """No C library to open, or one without ``mallopt`` (as off glibc):
+    the helper returns quietly."""
+    monkeypatch.setattr(training.ctypes, "CDLL", cdll)
+    assert training._hold_heap() is None
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_importing_the_package_runs_one_blas_thread_unless_set(preset, expected):
+    """Importing densetsnet before numpy pins OpenBLAS to one thread, and a
+    count already in the environment wins."""
+    script = "import os, densetsnet; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    env = _subprocess_env(OPENBLAS_NUM_THREADS=preset, OMP_NUM_THREADS=None,
+                          MKL_NUM_THREADS=None)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == expected
 
 
 def test_train_logs_validation_clip_count(dataset, tmp_path):
